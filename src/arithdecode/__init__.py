@@ -24,9 +24,6 @@ from .models import (
     Vocabulary,
     conditional_modified,
     load_model,
-    make_markov_model,
-    make_synthetic_lm,
-    make_tabular_model,
     save_model,
     sequence_logprob,
 )

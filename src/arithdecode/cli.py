@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import evaluation, oracle
-from .codebook import LatticeSpec
+from .codebook import LatticeSpec, UnitInterval
 from .errors import (
     EnumerationBoundError,
     InputError,
@@ -176,8 +176,6 @@ def _load_step_function(path: str) -> evaluation.StepFunction:
         if len(row) != 3:
             raise InputError(f"{path}: expected 'lo hi coefficient' lines")
         lo, hi, a = (Fraction(x) for x in row)
-        from .codebook import UnitInterval
-
         pieces.append((UnitInterval(lo, hi), a))
     try:
         return evaluation.StepFunction(tuple(pieces))
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--top-k", type=int, default=None)
         sp.add_argument("--nucleus-p", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None, help="falls back to $ARITH_DECODE_SEED, then 0")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1, help="must be >= 1; decoding runs on one thread")
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     sp = sub.add_parser("sample", help="decode one sample batch to CSV")

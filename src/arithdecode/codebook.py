@@ -156,14 +156,6 @@ def locate(c: Real, intervals: list[tuple[int, UnitInterval]]) -> int:
     return idx
 
 
-def interval_of(symbol: int, intervals: list[tuple[int, UnitInterval]]) -> UnitInterval:
-    """Look up a symbol's interval in a cdf_intervals partition."""
-    for idx, iv in intervals:
-        if idx == symbol:
-            return iv
-    raise ContractViolationError(f"symbol {symbol} has no interval (zero probability?)")
-
-
 def renormalize(c: Real, interval: UnitInterval) -> Real:
     """Map c from [lo, hi) affinely onto [0, 1)."""
     if not interval.contains(c):

@@ -5,6 +5,9 @@ lattices: grid-aligned pieces integrate with zero variance at n points, and
 with n+1 points the lattice estimator still beats naive Monte Carlo because
 the pairwise covariance matrix of the indicator sums (c_on on the diagonal,
 c_off off it) is negative semidefinite.
+
+numpy is imported inside the functions that use it, so importing the package
+or starting the CLI does not pay for it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .codebook import LatticeSpec, Real, UnitInterval, is_exact, lattice_codes
 from .errors import ParameterError
@@ -79,6 +80,8 @@ def step_variance_experiment(
     Returns {"lattice_var", "mc_var", "exact_integral"} with variances taken
     over `reps` independent shifts / i.i.d. point sets.
     """
+    import numpy as np
+
     if reps < 2:
         raise ParameterError("reps must be >= 2")
     rng = np.random.default_rng(seed)
@@ -113,6 +116,8 @@ def covariance_constants(n: int, reps: int = 100_000, seed: int = 0) -> tuple[fl
     and the analogous cross total against 1_[1/n,2/n)       (the "off" total).
     The analytic values are 1/n - 1 and 1/n.
     """
+    import numpy as np
+
     if n < 3:
         raise ParameterError("needs n >= 3")
     rng = np.random.default_rng(seed)
@@ -129,6 +134,8 @@ def covariance_constants(n: int, reps: int = 100_000, seed: int = 0) -> tuple[fl
 
 def covariance_matrix_eigenvalues(n: int) -> tuple[float, list[float]]:
     """Eigenvalues of the n x n matrix with 1/n - 1 on the diagonal, 1/n off it."""
+    import numpy as np
+
     c_on = 1.0 / n - 1.0
     c_off = 1.0 / n
     mat = np.full((n, n), c_off) + np.eye(n) * (c_on - c_off)
@@ -176,6 +183,8 @@ def estimator_sd(
     Each rep derives its randomness from (seed, rep index), so serial and
     parallel schedules agree bit-exactly.
     """
+    import numpy as np
+
     if reps < 2:
         raise ParameterError("reps must be >= 2")
     ests = []

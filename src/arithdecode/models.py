@@ -288,8 +288,9 @@ class MarkovModel(SequenceModel):
 class SyntheticLM(SequenceModel):
     """Deterministic pseudo-random model keyed by (seed, prefix).
 
-    Per-prefix uniforms come from a blake2b hash; raising them to the
-    `peakedness` power concentrates mass on few continuations, mimicking a
+    Per-prefix uniforms come from a blake2b hash, eight bytes per symbol
+    (past eight symbols, from counter-salted 64-byte blocks); raising them to
+    the `peakedness` power concentrates mass on few continuations, mimicking a
     low-temperature neural model.  Identical seeds give bit-identical
     conditionals; there is no mutable state.
     """
@@ -317,7 +318,13 @@ class SyntheticLM(SequenceModel):
             raise InvalidPrefixError(f"prefix {prefix} is complete")
         size = len(self.vocabulary)
         key = f"{self.seed}|{','.join(map(str, prefix))}".encode()
-        digest = hashlib.blake2b(key, digest_size=8 * size).digest()
+        if size <= 8:
+            digest = hashlib.blake2b(key, digest_size=8 * size).digest()
+        else:  # blake2b digests stop at 64 bytes: chain blocks salted by a counter
+            digest = b"".join(
+                hashlib.blake2b(key, digest_size=64, salt=block.to_bytes(16, "big")).digest()
+                for block in range((size + 7) // 8)
+            )
         logs = []
         for i in range(size):
             word = int.from_bytes(digest[8 * i : 8 * (i + 1)], "big")
@@ -327,24 +334,6 @@ class SyntheticLM(SequenceModel):
         weights = [math.exp(x - peak) for x in logs]
         total = sum(weights)
         return CategoricalDistribution(tuple(w / total for w in weights))
-
-
-def make_tabular_model(
-    table: dict[Tokens, Real], vocabulary: Vocabulary, max_length: int
-) -> TabularModel:
-    return TabularModel(table, vocabulary, max_length)
-
-
-def make_markov_model(
-    order: int, rows: dict[Tokens, Sequence[Real]], vocabulary: Vocabulary, max_length: int
-) -> MarkovModel:
-    return MarkovModel(order, rows, vocabulary, max_length)
-
-
-def make_synthetic_lm(
-    seed: int, vocab_size: int, max_length: int, peakedness: float = 1.0, eos: int | None = None
-) -> SyntheticLM:
-    return SyntheticLM(seed, vocab_size, max_length, peakedness, eos)
 
 
 # ---------------------------------------------------------------------------

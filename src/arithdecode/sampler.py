@@ -1,11 +1,20 @@
 """Code-point decoding and batch sampling.
 
-decode_code is the per-step renormalization recurrence: build the modified
+Decoding is the per-step renormalization recurrence: build the modified
 conditional CDF, locate the code, descend into the chosen interval, repeat
 until EOS or the length bound.  Feeding a Fraction code into an exact model
 keeps the whole decode exact; floats give the fast path, which keeps ~52 bits
 of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
+
+A whole batch decodes in one walk down the prefix trie.  By the monotonic
+embedding, codes that share a decoded prefix form one contiguous run of the
+sorted code set, so the walk sorts the codes, then expands each distinct
+prefix once: one modified conditional and one CDF per prefix, one locate and
+one renormalize per code under it.  The log-probability is summed on the way
+down in the same order as `sequence_logprob`, so every code sees exactly the
+float operations of its own step-by-step decode and the results are
+bit-identical to it.  decode_code is the one-code case of the same walk.
 
 Arithmetic sampling decodes a shifted lattice of codes; ancestral sampling
 decodes i.i.d. uniform codes, so both methods share one code path.
@@ -13,25 +22,23 @@ decodes i.i.d. uniform codes, so both methods share one code path.
 
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .codebook import (
     LatticeSpec,
     Real,
     UnitInterval,
     cdf_intervals,
-    interval_of,
-    is_exact,
     lattice_codes,
     locate,
     renormalize,
 )
 from .errors import EmptyIntervalError, ParameterError
-from .models import ModifierChain, SequenceModel, Tokens, conditional_modified, sequence_logprob
+from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,45 @@ class SampleSet:
     entries: tuple[SampleEntry, ...]
     method: str  # "arithmetic" | "ancestral"
     shift: Optional[Real] = None
-    chain: Optional[tuple] = None
 
     def sequences(self) -> list[Tokens]:
         return [e.sequence for e in self.entries]
+
+
+def _walk(
+    model: SequenceModel,
+    codes: Sequence[Real],
+    chain: ModifierChain | None,
+    limit: int,
+) -> tuple[list[Tokens], list[float]]:
+    """Decode every code in one descent of the prefix trie.
+
+    Returns the sequences and their modified log-probabilities by input index.
+    """
+    for c in codes:
+        if not (0 <= c < 1):
+            raise ParameterError(f"code {c} outside [0, 1)")
+    seqs: list = [None] * len(codes)
+    logprobs: list = [None] * len(codes)
+    # (prefix, its log-probability, [(input index, renormalized code)])
+    stack = [((), 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
+    while stack:
+        tokens, logprob, run = stack.pop()
+        if model.is_complete(tokens) or len(tokens) >= limit:
+            for i, _ in run:
+                seqs[i], logprobs[i] = tokens, logprob
+            continue
+        dist = conditional_modified(model, tokens, chain)
+        intervals = cdf_intervals(dist)
+        by_symbol = dict(intervals)
+        children: dict[int, list] = {}
+        for i, c in run:
+            sym = locate(c, intervals)
+            children.setdefault(sym, []).append((i, renormalize(c, by_symbol[sym])))
+        # Pushed in reverse so the lowest symbol is expanded first.
+        for sym in sorted(children, reverse=True):
+            stack.append((tokens + (sym,), logprob + math.log(dist.probs[sym]), children[sym]))
+    return seqs, logprobs
 
 
 def decode_code(
@@ -59,17 +101,8 @@ def decode_code(
     max_length: int | None = None,
 ) -> Tokens:
     """Decode one code point into a complete sequence."""
-    if not (0 <= c < 1):
-        raise ParameterError(f"code {c} outside [0, 1)")
     limit = model.max_length if max_length is None else min(max_length, model.max_length)
-    tokens: Tokens = ()
-    while not model.is_complete(tokens) and len(tokens) < limit:
-        dist = conditional_modified(model, tokens, chain)
-        intervals = cdf_intervals(dist)
-        sym = locate(c, intervals)
-        c = renormalize(c, interval_of(sym, intervals))
-        tokens = tokens + (sym,)
-    return tokens
+    return _walk(model, [c], chain, limit)[0][0]
 
 
 def code_interval_of_sequence(
@@ -104,20 +137,15 @@ def parallel_decode(
     chain: ModifierChain | None = None,
     worker_count: int = 1,
 ) -> SampleSet:
-    """Decode a batch of codes; output is by input index, independent of workers."""
+    """Decode a batch of codes; output is by input index.
+
+    The batch shares one walk on the calling thread, so the output does not
+    depend on worker_count, which is validated and kept for callers.
+    """
     if worker_count < 1:
         raise ParameterError("worker_count must be >= 1")
-    work: Callable[[Real], Tokens] = lambda c: decode_code(model, c, chain)
-    if worker_count == 1 or len(codes) <= 1:
-        seqs = [work(c) for c in codes]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            seqs = list(pool.map(work, codes))
-    entries = tuple(
-        SampleEntry(seq, code, sequence_logprob(model, seq, chain))
-        for seq, code in zip(seqs, codes)
-    )
-    return SampleSet(entries, method="arithmetic", chain=_chain_key(chain))
+    seqs, logprobs = _walk(model, codes, chain, model.max_length)
+    return SampleSet(tuple(map(SampleEntry, seqs, codes, logprobs)), method="arithmetic")
 
 
 def arithmetic_sample(
@@ -129,7 +157,7 @@ def arithmetic_sample(
     """Decode the full shifted lattice {c_i}; entries come back ordered by code."""
     codes = sorted(lattice_codes(spec))
     out = parallel_decode(model, codes, chain, worker_count)
-    return SampleSet(out.entries, method="arithmetic", shift=spec.shift, chain=out.chain)
+    return SampleSet(out.entries, method="arithmetic", shift=spec.shift)
 
 
 def ancestral_sample(
@@ -143,12 +171,6 @@ def ancestral_sample(
         raise ParameterError("n must be >= 1")
     rng = random.Random(seed)
     codes = [rng.random() for _ in range(n)]
-    entries = []
-    for c in codes:
-        seq = decode_code(model, c, chain)
-        entries.append(SampleEntry(seq, None, sequence_logprob(model, seq, chain)))
-    return SampleSet(tuple(entries), method="ancestral", chain=_chain_key(chain))
-
-
-def _chain_key(chain: ModifierChain | None) -> Optional[tuple]:
-    return tuple(chain) if chain else None
+    seqs, logprobs = _walk(model, codes, chain, model.max_length)
+    entries = tuple(SampleEntry(seq, None, lp) for seq, lp in zip(seqs, logprobs))
+    return SampleSet(entries, method="ancestral")

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import arithdecode
 from arithdecode.cli import main
 
 BERNOULLI = {
@@ -87,6 +91,21 @@ class TestSample:
 
     def test_missing_model_file(self, tmp_path):
         assert run(["sample", "--model", str(tmp_path / "nope.json"), "--n", "2"]) == 1
+
+    def test_large_vocabulary_synthetic_model(self, model_file, tmp_path):
+        out = tmp_path / "out.csv"
+        spec = dict(SYNTH, vocab_size=16, max_length=5)
+        assert run(["sample", "--model", model_file(spec), "--n", "16", "--seed", "3", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 16
+        assert all(len(r.split(",")[2].split()) == 5 for r in rows)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(arithdecode.__file__))
+    probe = "import sys, arithdecode.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestDiversity:

@@ -1,5 +1,6 @@
 """Sequence models, modifier transforms, and the model-file format."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -233,6 +234,30 @@ class TestSyntheticLM:
         for _ in range(50):
             prefix = tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
             assert abs(sum(m.conditional(prefix).probs) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_small_vocabularies_read_one_digest(self, size):
+        # Up to eight symbols the conditional comes from a single 8*V-byte
+        # digest; the acceptance criteria's expected values depend on it.
+        digest = hashlib.blake2b(b"7|1,0", digest_size=8 * size).digest()
+        words = [int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") for i in range(size)]
+        logs = [2.0 * math.log((w + 1) / (2**64 + 1)) for w in words]
+        weights = [math.exp(x - max(logs)) for x in logs]
+        expected = tuple(w / sum(weights) for w in weights)
+        assert SyntheticLM(7, size, 3, peakedness=2.0).conditional((1, 0)).probs == expected
+
+    @given(
+        st.integers(min_value=9, max_value=64),
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.integers(min_value=0, max_value=8), max_size=3),
+    )
+    def test_large_vocabularies(self, size, seed, prefix):
+        m = SyntheticLM(seed, size, 4)
+        probs = m.conditional(tuple(prefix)).probs
+        assert len(probs) == size
+        assert abs(sum(probs) - 1.0) < 1e-9
+        assert SyntheticLM(seed, size, 4).conditional(tuple(prefix)).probs == probs
+        assert len(set(probs)) == size  # no block of the hash stream repeats
 
 
 class TestModelFiles:

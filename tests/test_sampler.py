@@ -1,6 +1,7 @@
 """Code-point decoding, sequence intervals, batch sampling, parallel contract."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,27 @@ from hypothesis import strategies as st
 
 from arithdecode import (
     LatticeSpec,
+    Nucleus,
+    SequenceModel,
     SyntheticLM,
+    Temperature,
+    TopK,
     ancestral_sample,
     arithmetic_sample,
+    cdf_intervals,
     code_interval_of_sequence,
+    conditional_modified,
     decode_code,
     enumerate_joint,
     exact_codebook,
+    locate,
     parallel_decode,
+    renormalize,
     sequence_logprob,
 )
 from arithdecode.errors import EmptyIntervalError, ParameterError
 from arithdecode.oracle import prefix_intervals, prefix_probabilities
-from util import bernoulli_model, deterministic_model, random_tabular_model
+from util import bernoulli_model, deterministic_model, random_markov_model, random_tabular_model
 
 F = Fraction
 
@@ -151,6 +160,68 @@ class TestParallelDecode:
         seq1 = parallel_decode(m, codes, worker_count=1).sequences()
         seq8 = parallel_decode(m, codes, worker_count=8).sequences()
         assert seq1 == seq8
+
+
+def reference_decode(model, c, chain):
+    """The per-step recurrence, one code at a time, with no sharing."""
+    tokens = ()
+    while not model.is_complete(tokens):
+        intervals = cdf_intervals(conditional_modified(model, tokens, chain))
+        sym = locate(c, intervals)
+        c = renormalize(c, dict(intervals)[sym])
+        tokens = tokens + (sym,)
+    return tokens
+
+
+SEEDS = st.integers(min_value=0, max_value=10_000)
+MODELS = st.one_of(
+    st.builds(lambda s: random_tabular_model(random.Random(s), vocab_size=3, max_length=3, eos=2), SEEDS),
+    st.builds(lambda s: random_markov_model(random.Random(s), vocab_size=3, max_length=4), SEEDS),
+    st.builds(lambda s, k: SyntheticLM(s, 5, 5, k, eos=4), SEEDS, st.sampled_from([1.0, 3.0])),
+)
+CHAINS = st.sampled_from([None, (Temperature(0.8), Nucleus(0.9)), (TopK(2),)])
+CODES = st.one_of(
+    st.floats(min_value=0, max_value=1, exclude_max=True),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda x: x < 1),
+)
+
+
+class TestSharedWalk:
+    @given(MODELS, CHAINS, st.lists(CODES, max_size=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_per_code_recurrence(self, model, chain, codes, data):
+        # batches of 0, 1 and many unsorted codes, with duplicates
+        if codes:
+            codes = codes + data.draw(st.lists(st.sampled_from(codes), max_size=5))
+        ss = parallel_decode(model, codes, chain, worker_count=3)
+        assert [e.code for e in ss.entries] == codes
+        for e, c in zip(ss.entries, codes):
+            assert e.sequence == reference_decode(model, c, chain)
+            assert e.logprob == sequence_logprob(model, e.sequence, chain)
+
+    @given(MODELS, CHAINS, st.integers(min_value=1, max_value=40), SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_ancestral_matches_per_code_recurrence(self, model, chain, n, seed):
+        ss = ancestral_sample(model, n, seed, chain)
+        rng = random.Random(seed)
+        for e in ss.entries:
+            assert e.sequence == reference_decode(model, rng.random(), chain)
+            assert e.logprob == sequence_logprob(model, e.sequence, chain)
+
+    def test_one_conditional_per_distinct_prefix(self):
+        class Counting(SequenceModel):
+            def __init__(self, inner):
+                self.inner, self.vocabulary, self.max_length = inner, inner.vocabulary, inner.max_length
+                self.calls = Counter()
+
+            def conditional(self, prefix):
+                self.calls[prefix] += 1
+                return self.inner.conditional(prefix)
+
+        m = Counting(SyntheticLM(1, 4, 4, 3.0, eos=3))  # PEAKED of criteria 8-9
+        seqs = arithmetic_sample(m, LatticeSpec(256, "paper", 0.37)).sequences()
+        prefixes = {s[:d] for s in seqs for d in range(len(s))}
+        assert m.calls == Counter(prefixes)
 
 
 class TestDistributionalProperties:
