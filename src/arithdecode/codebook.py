@@ -15,7 +15,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 from .errors import ContractViolationError, InvalidDistributionError, ParameterError
 
@@ -48,6 +49,17 @@ class UnitInterval:
         return self.lo <= c < self.hi
 
 
+class CDF(NamedTuple):
+    """Kept symbol k owns [cuts[k], cuts[k+1]) with log-probability logprobs[k];
+    fcuts and fwidths are the float views of the cuts and of the widths."""
+
+    symbols: tuple[int, ...]
+    cuts: tuple[Real, ...]
+    fcuts: tuple[float, ...]
+    fwidths: tuple[float, ...]
+    logprobs: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class CategoricalDistribution:
     """Ordered per-symbol probabilities.
@@ -78,6 +90,29 @@ class CategoricalDistribution:
     def __len__(self) -> int:
         return len(self.probs)
 
+    @cached_property
+    def cdf(self) -> CDF:
+        """The partition of [0, 1), built on first use and kept with the distribution.
+
+        Zero-probability symbols, and float ones too small to move their lower
+        cut, own no interval; the last cut is exactly 1, so float drift cannot
+        leave a gap at the top.
+        """
+        one: Real = 1 if self.is_exact else 1.0
+        symbols, cuts, lo = [], [], one - one
+        for idx, p in enumerate(self.probs):
+            hi = min(lo + p, one)
+            if hi > lo:
+                symbols.append(idx)
+                cuts.append(lo)
+            lo = hi
+        if not symbols:
+            raise InvalidDistributionError("all probabilities are zero")
+        cuts.append(one)
+        widths = (float(hi - lo) for lo, hi in zip(cuts, cuts[1:]))
+        logprobs = (math.log(self.probs[idx]) for idx in symbols)
+        return CDF(tuple(symbols), tuple(cuts), tuple(map(float, cuts)), tuple(widths), tuple(logprobs))
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -102,58 +137,22 @@ class LatticeSpec:
             raise ParameterError("shift must lie in [0, 1)")
 
 
-class Diagnostics:
-    """Counters for representation-drift events (fast path only)."""
-
-    def __init__(self):
-        self.locate_drift = 0
-
-    def reset(self):
-        self.locate_drift = 0
-
-
-diagnostics = Diagnostics()
-
-
 def cdf_intervals(dist: CategoricalDistribution) -> list[tuple[int, UnitInterval]]:
-    """Partition [0,1) into per-symbol CDF intervals.
+    """Per-symbol CDF intervals, as (symbol_index, interval) pairs in vocabulary order.
 
-    Returns (symbol_index, interval) pairs in vocabulary order.  Widths equal
-    probabilities; zero-probability symbols are omitted; the last upper bound
-    is clamped to exactly 1 so float drift cannot leave a gap at the top.
+    A view of `dist.cdf`: widths equal probabilities, symbols that own no
+    interval are omitted and the last upper bound is exactly 1.
     """
-    one: Real = 1 if dist.is_exact else 1.0
-    out: list[tuple[int, UnitInterval]] = []
-    lo: Real = 0 if dist.is_exact else 0.0
-    for idx, p in enumerate(dist.probs):
-        if p == 0:
-            continue
-        hi = lo + p
-        out.append((idx, UnitInterval(lo, min(hi, one))))
-        lo = hi
-    if not out:
-        raise InvalidDistributionError("all probabilities are zero")
-    last_idx, last = out[-1]
-    if last.hi != one:
-        out[-1] = (last_idx, UnitInterval(last.lo, one))
-    return out
+    symbols, cuts = dist.cdf[:2]
+    return [(idx, UnitInterval(lo, hi)) for idx, lo, hi in zip(symbols, cuts, cuts[1:])]
 
 
 def locate(c: Real, intervals: list[tuple[int, UnitInterval]]) -> int:
-    """Return the symbol index whose half-open interval contains c.
-
-    A code at or above the final upper bound (possible only through float
-    drift) is assigned to the last interval and counted in diagnostics.
-    """
-    los = [iv.lo for _, iv in intervals]
-    pos = bisect.bisect_right(los, c) - 1
+    """Return the symbol index whose half-open interval contains c."""
+    pos = bisect.bisect_right([iv.lo for _, iv in intervals], c) - 1
     if pos < 0:
         raise ContractViolationError(f"code {c} below the partition")
-    idx, iv = intervals[pos]
-    if c >= iv.hi:  # only reachable for the last interval, via drift
-        diagnostics.locate_drift += 1
-        idx = intervals[-1][0]
-    return idx
+    return intervals[pos][0]
 
 
 def renormalize(c: Real, interval: UnitInterval) -> Real:

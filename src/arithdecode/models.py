@@ -217,7 +217,8 @@ class TabularModel(SequenceModel):
     """Model defined by an explicit joint table over complete sequences.
 
     Conditionals are computed by marginalizing the table over continuations;
-    a prefix-mass trie is precomputed so each conditional is O(|V|).
+    a prefix-mass trie is precomputed so each conditional is O(|V|), and each
+    is kept per prefix, so its CDF is built once.
     """
 
     def __init__(self, table: dict[Tokens, Real], vocabulary: Vocabulary, max_length: int):
@@ -238,9 +239,13 @@ class TabularModel(SequenceModel):
             for i in range(len(seq) + 1):
                 pre = seq[:i]
                 self._mass[pre] = self._mass.get(pre, 0) + p
+        self._conditionals: dict[Tokens, CategoricalDistribution] = {}
 
     def conditional(self, prefix: Tokens) -> CategoricalDistribution:
         prefix = tuple(prefix)
+        dist = self._conditionals.get(prefix)
+        if dist is not None:
+            return dist
         if self.is_complete(prefix):
             raise InvalidPrefixError(f"prefix {prefix} is complete")
         mass = self._mass.get(prefix, 0)
@@ -251,7 +256,8 @@ class TabularModel(SequenceModel):
         for v in range(len(self.vocabulary)):
             child = self._mass.get(prefix + (v,), zero)
             probs.append(Fraction(child, 1) / Fraction(mass, 1) if is_exact(mass) and is_exact(child) else child / mass)
-        return CategoricalDistribution(tuple(probs))
+        dist = self._conditionals[prefix] = CategoricalDistribution(tuple(probs))
+        return dist
 
 
 class MarkovModel(SequenceModel):

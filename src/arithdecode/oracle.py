@@ -86,6 +86,9 @@ class ExactCodebook:
             self.his.append(acc)
         if acc != 1:
             raise InvalidModelError("codebook does not cover [0, 1)")
+        # lower bounds as numerators over one denominator, so decode compares integers
+        self._den = math.lcm(*(lo.denominator for lo in self.los))
+        self._nums = [lo.numerator * (self._den // lo.denominator) for lo in self.los]
 
     def interval_of(self, tokens: Tokens) -> UnitInterval:
         i = self.sequences.index(tokens)
@@ -95,8 +98,8 @@ class ExactCodebook:
         """The unique sequence whose half-open interval contains c."""
         if not (0 <= c < 1):
             raise ParameterError(f"code {c} outside [0, 1)")
-        i = bisect.bisect_right(self.los, c) - 1
-        return self.sequences[i]
+        num, den = c.as_integer_ratio()  # lo <= c exactly when lo * D <= floor(c * D)
+        return self.sequences[bisect.bisect_right(self._nums, num * self._den // den) - 1]
 
     def items(self) -> Iterable[tuple[Tokens, UnitInterval]]:
         for seq, lo, hi in zip(self.sequences, self.los, self.his):

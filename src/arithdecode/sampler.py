@@ -1,17 +1,23 @@
 """Code-point decoding and batch sampling.
 
-Decoding is the per-step renormalization recurrence: build the modified
-conditional CDF, locate the code, descend into the chosen interval, repeat
+Decoding is the per-step renormalization recurrence: take the modified
+conditional's CDF, locate the code, descend into the chosen interval, repeat
 until EOS or the length bound.  Feeding a Fraction code into an exact model
 keeps the whole decode exact; floats give the fast path, which keeps ~52 bits
 of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
 
+Each distribution builds its CDF once (`CategoricalDistribution.cdf`), so a
+Markov row or a memoised tabular conditional is partitioned once per process.
+A float code is located by bisecting the float cut points; only a code equal to
+a float cut is compared with the exact cut, so on an exact model it picks the
+symbol the exact comparison picks.
+
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
 sorted code set, so the walk sorts the codes, then expands each distinct
-prefix once: one modified conditional and one CDF per prefix, one locate and
-one renormalize per code under it.  The log-probability is summed on the way
+prefix once: one modified conditional per prefix, one bisect and one
+renormalization per code under it.  The log-probability is summed on the way
 down in the same order as `sequence_logprob`, so every code sees exactly the
 float operations of its own step-by-step decode and the results are
 bit-identical to it.  decode_code is the one-code case of the same walk.
@@ -24,19 +30,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .codebook import (
-    LatticeSpec,
-    Real,
-    UnitInterval,
-    cdf_intervals,
-    lattice_codes,
-    locate,
-    renormalize,
-)
+from .codebook import LatticeSpec, Real, UnitInterval, lattice_codes, renormalize
 from .errors import EmptyIntervalError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
@@ -81,16 +80,23 @@ def _walk(
             for i, _ in run:
                 seqs[i], logprobs[i] = tokens, logprob
             continue
-        dist = conditional_modified(model, tokens, chain)
-        intervals = cdf_intervals(dist)
-        by_symbol = dict(intervals)
+        symbols, cuts, fcuts, fwidths, symbol_logprobs = conditional_modified(model, tokens, chain).cdf
         children: dict[int, list] = {}
         for i, c in run:
-            sym = locate(c, intervals)
-            children.setdefault(sym, []).append((i, renormalize(c, by_symbol[sym])))
+            if isinstance(c, float):
+                k = bisect_right(fcuts, c) - 1
+                if c == fcuts[k]:  # the float cut may sit on c while the exact cut lies above it
+                    k = bisect_right(cuts, c) - 1
+                c = (c - fcuts[k]) / fwidths[k]
+                if c >= 1.0:  # float rounding at the top edge
+                    c = math.nextafter(1.0, 0.0)
+            else:
+                k = bisect_right(cuts, c) - 1
+                c = renormalize(c, UnitInterval(cuts[k], cuts[k + 1]))
+            children.setdefault(k, []).append((i, c))
         # Pushed in reverse so the lowest symbol is expanded first.
-        for sym in sorted(children, reverse=True):
-            stack.append((tokens + (sym,), logprob + math.log(dist.probs[sym]), children[sym]))
+        for k in sorted(children, reverse=True):
+            stack.append((tokens + (symbols[k],), logprob + symbol_logprobs[k], children[k]))
     return seqs, logprobs
 
 

@@ -100,6 +100,14 @@ class TestSample:
         assert len(rows) == 16
         assert all(len(r.split(",")[2].split()) == 5 for r in rows)
 
+    def test_zero_width_float_intervals_decode(self, model_file, tmp_path):
+        out = tmp_path / "out.csv"
+        spec = {"type": "synthetic", "seed": 1, "vocab_size": 8, "max_length": 32, "peakedness": 4, "eos": 3}
+        assert run(["sample", "--model", model_file(spec), "--n", "256", "--seed", "2", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 256
+        assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
 
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(arithdecode.__file__))

@@ -51,6 +51,12 @@ class TestCdfIntervals:
         ivs = cdf_intervals(CategoricalDistribution(probs))
         assert ivs[-1][1].hi == 1.0
 
+    def test_float_zero_width_symbol_omitted(self):
+        # 0.5 + 1e-20 == 0.5 in floats, so the middle symbol owns no interval
+        dist = CategoricalDistribution((0.5, 1e-20, 0.5))
+        assert cdf_intervals(dist) == [(0, UnitInterval(0.0, 0.5)), (2, UnitInterval(0.5, 1.0))]
+        assert locate(0.5, cdf_intervals(dist)) == 2
+
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InvalidDistributionError):
             CategoricalDistribution((0.5, 0.4))

@@ -1,20 +1,25 @@
 """Code-point decoding, sequence intervals, batch sampling, parallel contract."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithdecode import (
+    CategoricalDistribution,
     LatticeSpec,
+    MarkovModel,
     Nucleus,
     SequenceModel,
     SyntheticLM,
     Temperature,
     TopK,
+    Vocabulary,
     ancestral_sample,
     arithmetic_sample,
     cdf_intervals,
@@ -222,6 +227,93 @@ class TestSharedWalk:
         seqs = arithmetic_sample(m, LatticeSpec(256, "paper", 0.37)).sequences()
         prefixes = {s[:d] for s in seqs for d in range(len(s))}
         assert m.calls == Counter(prefixes)
+
+
+PEAKED8 = SyntheticLM(1, 8, 32, peakedness=4, eos=3)
+
+
+class TestZeroWidthFloatIntervals:
+    """Conditionals too small to move a float cut own no interval and never decode."""
+
+    def check(self, ss):
+        assert len(ss.entries) == 256
+        for e in ss.entries:
+            assert PEAKED8.is_complete(e.sequence)
+            assert math.isfinite(e.logprob)
+            assert e.logprob == sequence_logprob(PEAKED8, e.sequence)
+
+    @pytest.mark.parametrize("j", range(8))
+    def test_arithmetic_shifts(self, j):
+        shift = random.Random(f"peaked:{j}").random()
+        ss = arithmetic_sample(PEAKED8, LatticeSpec(256, "paper", shift))
+        self.check(ss)
+        for e in ss.entries[::16]:
+            assert e.sequence == reference_decode(PEAKED8, e.code, None)
+
+    @pytest.mark.parametrize("seed", ["peaked:0", "peaked:1"])
+    def test_ancestral_seeds(self, seed):
+        self.check(ancestral_sample(PEAKED8, 256, seed))
+
+
+class TestFloatCodeTieBreak:
+    """A float code equal to the float of an exact cut decodes like its exact value."""
+
+    @pytest.mark.parametrize(
+        "row,first",
+        [
+            ((F(1, 3), F(2, 3)), 0),  # float(1/3) < 1/3: the code lies below the cut
+            ((F(1, 10), F(9, 10)), 1),  # float(1/10) > 1/10: the code lies above it
+            ((F(1, 3), F(1, 3), F(1, 3)), 0),
+            ((F(1, 10), F(7, 10), F(1, 5)), 1),
+        ],
+    )
+    def test_codes_on_float_cuts(self, row, first):
+        rows = {(): row, **{(v,): row for v in range(len(row))}}
+        m = MarkovModel(1, rows, Vocabulary(tuple("abc"[: len(row)])), 3)
+        c = float(row[0])
+        assert c != row[0]
+        assert decode_code(m, c)[0] == first
+        cuts = [float(sum(row[:k])) for k in range(1, len(row))]
+        codes = [x for cut in cuts for x in (math.nextafter(cut, 0), cut, math.nextafter(cut, 1))]
+        for code, e in zip(codes, parallel_decode(m, codes).entries):
+            assert e.sequence == decode_code(m, code) == decode_code(m, F(code)) == reference_decode(m, code, None)
+
+
+class TestCdfCache:
+    def count_builds(self, monkeypatch) -> Counter:
+        builds = Counter()
+        build = CategoricalDistribution.cdf.func
+
+        def counting(dist):
+            builds[id(dist)] += 1
+            return build(dist)
+
+        prop = cached_property(counting)
+        prop.__set_name__(CategoricalDistribution, "cdf")
+        monkeypatch.setattr(CategoricalDistribution, "cdf", prop)
+        return builds
+
+    def test_markov_rows_build_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        m = random_markov_model(random.Random(5), vocab_size=3, max_length=4)
+        for j in range(50):
+            arithmetic_sample(m, LatticeSpec(16, "paper", random.Random(j).random()))
+        assert builds == Counter({id(row): 1 for row in m.rows.values()})
+
+    def test_tabular_conditionals_kept_per_prefix(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        m = random_tabular_model(random.Random(6), vocab_size=3, max_length=3, eos=2)
+        for j in range(50):
+            arithmetic_sample(m, LatticeSpec(16, "paper", random.Random(j).random()))
+        assert m.conditional((0,)) is m.conditional((0,))
+        assert set(builds.values()) == {1}
+        assert len(builds) == len({s[:d] for s, _ in enumerate_joint(m).entries for d in range(len(s))})
+
+    def test_cache_leaves_equality_and_hash(self):
+        a, b = (CategoricalDistribution((F(1, 3), F(2, 3))) for _ in range(2))
+        assert a.cdf.symbols == (0, 1)
+        assert "cdf" in vars(a) and "cdf" not in vars(b)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestDistributionalProperties:
