@@ -84,10 +84,6 @@ def _write(args, lines: list[str]):
         sys.stdout.write(text)
 
 
-def _strip_eos(tokens, eos):
-    return tuple(t for t in tokens if t != eos) if eos is not None else tuple(tokens)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -129,7 +125,7 @@ def cmd_diversity(args) -> int:
             else:
                 ss = ancestral_sample(model, args.n, f"{seed}:{tag}", chain)
             rewards = [
-                evaluation.sentence_bleu(_strip_eos(s, eos), ref) for s in ss.sequences()
+                evaluation.sentence_bleu(evaluation.strip_eos(s, eos), ref) for s in ss.sequences()
             ]
             means.append(sum(rewards) / len(rewards))
             mins.append(min(rewards))
@@ -151,7 +147,7 @@ def cmd_variance(args) -> int:
     eos = model.vocabulary.eos
     target = refs[0]
     chain = _chain(args)
-    reward = lambda s: evaluation.sentence_bleu(_strip_eos(s, eos), target)
+    reward = lambda s: evaluation.sentence_bleu(evaluation.strip_eos(s, eos), target)
     lines = ["method,n,mean,sd,p2_5,p97_5"]
     for n in args.n:
         rep = evaluation.estimator_sd(
@@ -175,7 +171,10 @@ def _load_step_function(path: str) -> evaluation.StepFunction:
     for row in rows:
         if len(row) != 3:
             raise InputError(f"{path}: expected 'lo hi coefficient' lines")
-        lo, hi, a = (Fraction(x) for x in row)
+        try:
+            lo, hi, a = (Fraction(x) for x in row)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{path}: bad number in {' '.join(row)!r}") from None
         pieces.append((UnitInterval(lo, hi), a))
     try:
         return evaluation.StepFunction(tuple(pieces))
@@ -222,13 +221,13 @@ def cmd_oracle_check(args) -> int:
     worst = Fraction(0)
     for seq, p in joint.entries:
         iv = code_interval_of_sequence(model, seq)
-        worst = max(worst, abs(Fraction(iv.width) - p))
+        worst = max(worst, abs(iv.width - p))
     rows.append(("interval_width_matches_probability", worst == 0, str(worst)))
 
     first_tok = joint.entries[0][0][0]
     reward = lambda s: Fraction(1) if s and s[0] == first_tok else Fraction(0)
     truth = oracle.exact_expectation(joint, reward)
-    est = oracle.full_period_average(cb, min(args.n, 16) if args.n else 4, reward)
+    est = oracle.full_period_average(cb, min(args.n, 16), reward, bound=args.bound)
     rows.append(("full_period_unbiasedness", est == truth, str(abs(est - truth))))
 
     lines = ["property,pass,worst_deviation"]
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle-check", help="exact oracle/sampler equivalence suite")
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
+    sp.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND, help="most sequences, and most shifts swept")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_oracle_check)
 

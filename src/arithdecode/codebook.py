@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -64,28 +64,31 @@ class CDF(NamedTuple):
 class CategoricalDistribution:
     """Ordered per-symbol probabilities.
 
-    Exact inputs (ints/Fractions) must sum to exactly 1; float inputs must
-    sum to 1 within FAST_SUM_TOL.
+    Exact inputs (ints/Fractions) must sum to exactly 1 and are kept as
+    Fractions, so arithmetic on them stays exact; float inputs must sum to 1
+    within FAST_SUM_TOL.  `is_exact` is settled once, on construction.
     """
 
     probs: tuple[Real, ...]
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
-        if not self.probs:
+        probs = tuple(self.probs)
+        if not probs:
             raise InvalidDistributionError("empty distribution")
-        if any(p < 0 for p in self.probs):
-            raise InvalidDistributionError(f"negative probability in {self.probs}")
-        total = sum(self.probs)
-        if self.is_exact:
+        exact = all(map(is_exact, probs))
+        if exact:  # ints become Fractions, so `/` on them stays exact
+            probs = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "is_exact", exact)
+        if any(p < 0 for p in probs):
+            raise InvalidDistributionError(f"negative probability in {probs}")
+        total = sum(probs)
+        if exact:
             if total != 1:
                 raise InvalidDistributionError(f"exact probabilities sum to {total}, not 1")
         elif abs(total - 1.0) > FAST_SUM_TOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(p) for p in self.probs)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -98,7 +101,7 @@ class CategoricalDistribution:
         cut, own no interval; the last cut is exactly 1, so float drift cannot
         leave a gap at the top.
         """
-        one: Real = 1 if self.is_exact else 1.0
+        one: Real = Fraction(1) if self.is_exact else 1.0
         symbols, cuts, lo = [], [], one - one
         for idx, p in enumerate(self.probs):
             hi = min(lo + p, one)

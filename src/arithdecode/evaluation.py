@@ -214,6 +214,11 @@ def estimator_sd(
 # Sequence metrics
 
 
+def strip_eos(tokens: Tokens, eos: int | None) -> Tokens:
+    """The tokens without EOS; all of them when the vocabulary has no EOS."""
+    return tuple(t for t in tokens if t != eos) if eos is not None else tuple(tokens)
+
+
 def _ngrams(tokens: Sequence[int], n: int) -> list[tuple[int, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
@@ -228,7 +233,7 @@ def ngram_diversity(
     """
     if not sequences:
         raise ParameterError("empty sequence list")
-    stripped = [tuple(t for t in s if t != eos) if eos is not None else tuple(s) for s in sequences]
+    stripped = [strip_eos(s, eos) for s in sequences]
     d = 0.0
     for n in range(1, max_n + 1):
         grams: list[tuple[int, ...]] = []

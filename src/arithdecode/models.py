@@ -131,8 +131,6 @@ def _renormalized(probs: list[Real]) -> CategoricalDistribution:
     total = sum(probs)
     if total == 0:
         raise InvalidModelError("modifier zeroed out the whole distribution")
-    if all(is_exact(p) for p in probs):
-        return CategoricalDistribution(tuple(Fraction(p) / Fraction(total) for p in probs))
     return CategoricalDistribution(tuple(p / total for p in probs))
 
 
@@ -224,9 +222,9 @@ class TabularModel(SequenceModel):
     def __init__(self, table: dict[Tokens, Real], vocabulary: Vocabulary, max_length: int):
         self.vocabulary = vocabulary
         self.max_length = max_length
-        self.table = {tuple(k): v for k, v in table.items()}
+        exact = all(is_exact(v) for v in table.values())
+        self.table = {tuple(k): Fraction(v) if exact else v for k, v in table.items()}
         total = sum(self.table.values())
-        exact = all(is_exact(v) for v in self.table.values())
         if (exact and total != 1) or (not exact and abs(total - 1.0) > 1e-9):
             raise InvalidModelError(f"joint table sums to {total}, not 1")
         self._mass: dict[Tokens, Real] = {}
@@ -251,12 +249,8 @@ class TabularModel(SequenceModel):
         mass = self._mass.get(prefix, 0)
         if mass == 0:
             raise InvalidPrefixError(f"prefix {prefix} has zero probability")
-        zero = 0 if is_exact(mass) else 0.0
-        probs = []
-        for v in range(len(self.vocabulary)):
-            child = self._mass.get(prefix + (v,), zero)
-            probs.append(Fraction(child, 1) / Fraction(mass, 1) if is_exact(mass) and is_exact(child) else child / mass)
-        dist = self._conditionals[prefix] = CategoricalDistribution(tuple(probs))
+        probs = tuple(self._mass.get(prefix + (v,), 0) / mass for v in range(len(self.vocabulary)))
+        dist = self._conditionals[prefix] = CategoricalDistribution(probs)
         return dist
 
 

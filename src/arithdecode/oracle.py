@@ -35,12 +35,6 @@ class ExactJoint:
         if sum(p for _, p in self.entries) != 1:
             raise InvalidModelError("joint probabilities do not sum to 1")
 
-    def probability(self, tokens: Tokens) -> Fraction:
-        for seq, p in self.entries:
-            if seq == tokens:
-                return p
-        return Fraction(0)
-
 
 def enumerate_joint(
     model: SequenceModel, chain: ModifierChain | None = None, bound: int = DEFAULT_BOUND
@@ -144,20 +138,27 @@ def prefix_intervals(joint: ExactJoint) -> dict[Tokens, UnitInterval]:
     return {pre: UnitInterval(lo, hi) for pre, (lo, hi) in out.items()}
 
 
-def full_period_shift_grid(codebook: ExactCodebook, n: int, min_k: int = 10) -> list[Fraction]:
+def full_period_shift_grid(
+    codebook: ExactCodebook, n: int, min_k: int = 10, bound: int = DEFAULT_BOUND
+) -> list[Fraction]:
     """Shifts b = j/(K(n+1)) that refine every breakpoint of the estimator in b.
 
     The arithmetic-sampling estimator is piecewise constant in b with
     breakpoints at rationals whose denominators divide lcm(D, n+1), D being
     the lcm of the codebook endpoint denominators.  Averaging over this grid
-    therefore reproduces the continuous average exactly.
+    therefore reproduces the continuous average exactly.  A grid of more
+    than `bound` shifts raises EnumerationBoundError before it is built.
     """
+    if n < 1:
+        raise ParameterError("lattice needs n >= 1")
     denoms = [x.denominator for x in codebook.los + codebook.his]
     period = math.lcm(n + 1, *denoms)
     k = period // (n + 1)
     if k < min_k:
         k *= -(-min_k // k)  # ceil division
     m = k * (n + 1)
+    if m > bound:
+        raise EnumerationBoundError(f"full-period shift grid has {m} shifts, more than {bound}")
     return [Fraction(j, m) for j in range(m)]
 
 
@@ -167,9 +168,10 @@ def full_period_average(
     reward: Reward,
     mode: str = "paper",
     min_k: int = 10,
+    bound: int = DEFAULT_BOUND,
 ) -> Fraction:
     """Exact average over a full period of b of the lattice-sample mean reward."""
-    grid = full_period_shift_grid(codebook, n, min_k)
+    grid = full_period_shift_grid(codebook, n, min_k, bound)
     total = Fraction(0)
     for b in grid:
         codes = lattice_codes(LatticeSpec(n, mode, b))

@@ -11,7 +11,8 @@ Each distribution builds its CDF once (`CategoricalDistribution.cdf`), so a
 Markov row or a memoised tabular conditional is partitioned once per process.
 A float code is located by bisecting the float cut points; only a code equal to
 a float cut is compared with the exact cut, so on an exact model it picks the
-symbol the exact comparison picks.
+symbol the exact comparison picks.  `code_interval_of_sequence`, the inverse
+map, narrows on the same cut points, so encode and decode share one partition.
 
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .codebook import LatticeSpec, Real, UnitInterval, lattice_codes, renormalize
+from .codebook import LatticeSpec, Real, UnitInterval, lattice_codes
 from .errors import EmptyIntervalError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
@@ -58,10 +59,7 @@ class SampleSet:
 
 
 def _walk(
-    model: SequenceModel,
-    codes: Sequence[Real],
-    chain: ModifierChain | None,
-    limit: int,
+    model: SequenceModel, codes: Sequence[Real], chain: ModifierChain | None
 ) -> tuple[list[Tokens], list[float]]:
     """Decode every code in one descent of the prefix trie.
 
@@ -76,23 +74,24 @@ def _walk(
     stack = [((), 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
     while stack:
         tokens, logprob, run = stack.pop()
-        if model.is_complete(tokens) or len(tokens) >= limit:
+        if model.is_complete(tokens):
             for i, _ in run:
                 seqs[i], logprobs[i] = tokens, logprob
             continue
-        symbols, cuts, fcuts, fwidths, symbol_logprobs = conditional_modified(model, tokens, chain).cdf
+        dist = conditional_modified(model, tokens, chain)
+        symbols, cuts, fcuts, fwidths, symbol_logprobs = dist.cdf
         children: dict[int, list] = {}
         for i, c in run:
-            if isinstance(c, float):
+            if isinstance(c, float) or not dist.is_exact:
                 k = bisect_right(fcuts, c) - 1
                 if c == fcuts[k]:  # the float cut may sit on c while the exact cut lies above it
                     k = bisect_right(cuts, c) - 1
                 c = (c - fcuts[k]) / fwidths[k]
                 if c >= 1.0:  # float rounding at the top edge
                     c = math.nextafter(1.0, 0.0)
-            else:
+            else:  # an exact code on exact cuts stays exact
                 k = bisect_right(cuts, c) - 1
-                c = renormalize(c, UnitInterval(cuts[k], cuts[k + 1]))
+                c = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
             children.setdefault(k, []).append((i, c))
         # Pushed in reverse so the lowest symbol is expanded first.
         for k in sorted(children, reverse=True):
@@ -100,40 +99,30 @@ def _walk(
     return seqs, logprobs
 
 
-def decode_code(
-    model: SequenceModel,
-    c: Real,
-    chain: ModifierChain | None = None,
-    max_length: int | None = None,
-) -> Tokens:
+def decode_code(model: SequenceModel, c: Real, chain: ModifierChain | None = None) -> Tokens:
     """Decode one code point into a complete sequence."""
-    limit = model.max_length if max_length is None else min(max_length, model.max_length)
-    return _walk(model, [c], chain, limit)[0][0]
+    return _walk(model, [c], chain)[0][0]
 
 
 def code_interval_of_sequence(
     model: SequenceModel, tokens: Tokens, chain: ModifierChain | None = None
 ) -> UnitInterval:
-    """The codebook interval housing a sequence or prefix.
+    """The codebook interval housing a sequence or prefix, with Fraction ends.
 
-    The interval width equals the (modified) sequence probability, exactly in
-    rational arithmetic when the model is exact.
+    Each step narrows on the cut points the decoder bisects, in exact
+    arithmetic, so the width is the (modified) sequence probability: exactly
+    on an exact model, and the exact width of the float cuts on a float one.
     """
     model.validate_tokens(tokens)
-    exact = True
-    lo: Real = 0
-    width: Real = 1
+    lo, width = Fraction(0), Fraction(1)
     for t, tok in enumerate(tokens):
-        dist = conditional_modified(model, tokens[:t], chain)
-        exact = exact and dist.is_exact
-        p = dist.probs[tok]
-        if p == 0:
-            raise EmptyIntervalError(f"sequence {tokens} has zero probability")
-        below = sum(dist.probs[:tok])
-        lo = lo + width * below
-        width = width * p
-    if exact:
-        lo, width = Fraction(lo), Fraction(width)
+        symbols, cuts = conditional_modified(model, tokens[:t], chain).cdf[:2]
+        k = bisect_left(symbols, tok)
+        if k == len(symbols) or symbols[k] != tok:
+            raise EmptyIntervalError(f"sequence {tokens} owns no codebook interval")
+        below, above = Fraction(cuts[k]), Fraction(cuts[k + 1])
+        lo += width * below
+        width *= above - below
     return UnitInterval(lo, lo + width)
 
 
@@ -150,7 +139,7 @@ def parallel_decode(
     """
     if worker_count < 1:
         raise ParameterError("worker_count must be >= 1")
-    seqs, logprobs = _walk(model, codes, chain, model.max_length)
+    seqs, logprobs = _walk(model, codes, chain)
     return SampleSet(tuple(map(SampleEntry, seqs, codes, logprobs)), method="arithmetic")
 
 
@@ -177,6 +166,6 @@ def ancestral_sample(
         raise ParameterError("n must be >= 1")
     rng = random.Random(seed)
     codes = [rng.random() for _ in range(n)]
-    seqs, logprobs = _walk(model, codes, chain, model.max_length)
+    seqs, logprobs = _walk(model, codes, chain)
     entries = tuple(SampleEntry(seq, None, lp) for seq, lp in zip(seqs, logprobs))
     return SampleSet(entries, method="ancestral")

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,3 +206,43 @@ class TestOracleCheck:
 
     def test_bound_exceeded(self, model_file):
         assert run(["oracle-check", "--model", model_file(BERNOULLI), "--bound", "2"]) == 1
+
+    def test_bound_limits_shift_sweep(self, model_file, capsys):
+        # 127 sequences, but a full-period sweep of 900,000 shifts at n=4
+        spec = {
+            "type": "markov", "vocabulary": ["a", "b", "e"], "eos": 2, "max_length": 6, "order": 1,
+            "rows": {"": ["1/3", "1/3", "1/3"], "a": ["1/10", "3/10", "3/5"], "b": ["1/6", "1/2", "1/3"]},
+        }
+        start = time.perf_counter()
+        assert run(["oracle-check", "--model", model_file(spec), "--bound", "1000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "shift grid" in one_error_line(capsys)
+
+
+def one_error_line(capsys) -> str:
+    """The single stderr line of a failed command, checked to be an error line."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["stepfn"], "0 1/2 abc\n"),
+        (["stepfn"], "0 1/0 1\n"),
+        (["oracle-check", "--n", "-1"], None),
+        (["oracle-check", "--n", "-3"], None),
+        (["oracle-check", "--n", "0"], None),
+    ],
+    ids=["stepfn-non-numeric", "stepfn-zero-denominator", "oracle-n-1", "oracle-n-3", "oracle-n0"],
+)
+def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys):
+    if text is None:
+        command = command + ["--model", model_file(BERNOULLI)]
+    else:
+        (tmp_path / "f.txt").write_text(text)
+        command = command + ["--stepfn", str(tmp_path / "f.txt")]
+    assert run(command) == 1
+    one_error_line(capsys)

@@ -83,7 +83,7 @@ class TestExactExpectation:
 
     def test_collision_probability(self):
         joint = enumerate_joint(bernoulli_model())
-        assert exact_expectation(joint, joint.probability) == F(169, 625)
+        assert exact_expectation(joint, dict(joint.entries).__getitem__) == F(169, 625)
 
 
 class TestBruteForceDecode:

@@ -17,6 +17,7 @@ from arithdecode import (
     Nucleus,
     SequenceModel,
     SyntheticLM,
+    TabularModel,
     Temperature,
     TopK,
     Vocabulary,
@@ -253,6 +254,46 @@ class TestZeroWidthFloatIntervals:
     @pytest.mark.parametrize("seed", ["peaked:0", "peaked:1"])
     def test_ancestral_seeds(self, seed):
         self.check(ancestral_sample(PEAKED8, 256, seed))
+
+
+class TestFloatModelIntervals:
+    """Float models get the exact interval of the float cuts the decoder bisects."""
+
+    @pytest.mark.parametrize("model", [SyntheticLM(0, 8, 32), PEAKED8], ids=["synthetic", "peaked"])
+    @pytest.mark.parametrize("j", range(4))
+    def test_width_matches_logprob(self, model, j):
+        shift = random.Random(f"interval:{j}").random()
+        for seq in set(arithmetic_sample(model, LatticeSpec(256, "paper", shift)).sequences()):
+            iv = code_interval_of_sequence(model, seq)
+            assert type(iv.lo) is F and type(iv.hi) is F
+            assert 0 <= iv.lo < iv.hi <= 1
+            log_width = math.log(iv.width.numerator) - math.log(iv.width.denominator)
+            assert abs(log_width - sequence_logprob(model, seq)) < 1e-9
+
+
+class TestIntProbabilitiesStayExact:
+    """Exact ints are promoted to Fractions once, so the cuts and every quotient stay exact."""
+
+    def test_distribution(self):
+        dist = CategoricalDistribution((1, 0))
+        assert dist.is_exact and all(type(p) is F for p in dist.probs)
+        assert dist.cdf.cuts == (0, 1) and all(type(x) is F for x in dist.cdf.cuts)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TabularModel({(0, 1): 1, (1, 0): 0}, Vocabulary(("A", "B")), 2),
+            MarkovModel(1, {(): (F(1, 2), F(1, 2)), (0,): (1, 0), (1,): (0, 1)}, Vocabulary(("A", "B")), 3),
+        ],
+        ids=["tabular", "markov"],
+    )
+    @pytest.mark.parametrize("chain", [None, (TopK(1),), (Nucleus(0.5),)])
+    def test_models(self, model, chain):
+        for prefix in {s[:d] for s, _ in enumerate_joint(model, chain).entries for d in range(len(s))}:
+            assert all(type(p) is F for p in conditional_modified(model, prefix, chain).probs)
+        codes = [F(j, 7) for j in range(7)]
+        ss = parallel_decode(model, codes, chain)
+        assert ss.sequences() == [reference_decode(model, c, chain) for c in codes]
 
 
 class TestFloatCodeTieBreak:
