@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .models import Nucleus, Temperature, TopK, load_model
-from .sampler import ancestral_sample, arithmetic_sample, code_interval_of_sequence, decode_code
+from .sampler import code_interval_of_sequence, parallel_decode
 
 
 def _fmt(x) -> str:
@@ -42,12 +41,14 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("ARITH_DECODE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InputError(f"ARITH_DECODE_SEED must be an integer, not {env!r}") from None
 
 
-def _chain(args, temperature: float | None = None):
+def _chain(args, t: float | None):
     chain = []
-    t = temperature if temperature is not None else getattr(args, "temperature_single", None)
     if t is not None and t != 1.0:
         chain.append(Temperature(t))
     if args.top_k is not None:
@@ -55,10 +56,6 @@ def _chain(args, temperature: float | None = None):
     if args.nucleus_p is not None:
         chain.append(Nucleus(args.nucleus_p))
     return chain or None
-
-
-def _derive_shift(seed, tag: str) -> float:
-    return random.Random(f"{seed}:{tag}").random()
 
 
 def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
@@ -91,14 +88,9 @@ def _write(args, lines: list[str]):
 def cmd_sample(args) -> int:
     model = load_model(args.model)
     seed = _seed(args)
-    chain = _chain(args)
-    lines = []
-    if args.method == "arithmetic":
-        b = _derive_shift(seed, "shift")
-        lines.append(f"# shift_b={_fmt(b)}")
-        ss = arithmetic_sample(model, LatticeSpec(args.n, args.lattice_mode, b), chain, args.workers)
-    else:
-        ss = ancestral_sample(model, args.n, seed, chain)
+    tag = f"{seed}:shift" if args.method == "arithmetic" else seed
+    ss = evaluation.draw(model, args.method, args.n, tag, _chain(args, args.temperature), args.lattice_mode)
+    lines = [] if ss.shift is None else [f"# shift_b={_fmt(ss.shift)}"]
     lines.append("index,code,sequence,logprob")
     for i, e in enumerate(ss.entries):
         code = _fmt(e.code) if e.code is not None else ""
@@ -112,18 +104,12 @@ def cmd_diversity(args) -> int:
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
     eos = model.vocabulary.eos
-    temps = args.temperature
     lines = ["method,temperature,n,mean_reward,min_reward,max_reward,ngram_diversity"]
-    for t in temps:
-        chain = _chain(args, temperature=t)
+    for t in args.temperature:
+        chain = _chain(args, t)
         means, mins, maxes, divs = [], [], [], []
         for i, ref in enumerate(refs):
-            tag = f"{t}:{i}"
-            if args.method == "arithmetic":
-                b = _derive_shift(seed, tag)
-                ss = arithmetic_sample(model, LatticeSpec(args.n, args.lattice_mode, b), chain, args.workers)
-            else:
-                ss = ancestral_sample(model, args.n, f"{seed}:{tag}", chain)
+            ss = evaluation.draw(model, args.method, args.n, f"{seed}:{t}:{i}", chain, args.lattice_mode)
             rewards = [
                 evaluation.sentence_bleu(evaluation.strip_eos(s, eos), ref) for s in ss.sequences()
             ]
@@ -146,7 +132,7 @@ def cmd_variance(args) -> int:
     refs = _load_references(args.reference, model.vocabulary)
     eos = model.vocabulary.eos
     target = refs[0]
-    chain = _chain(args)
+    chain = _chain(args, args.temperature)
     reward = lambda s: evaluation.sentence_bleu(evaluation.strip_eos(s, eos), target)
     lines = ["method,n,mean,sd,p2_5,p97_5"]
     for n in args.n:
@@ -215,7 +201,8 @@ def cmd_oracle_check(args) -> int:
     for lo, hi in zip(cb.los, cb.his):
         codes.append(lo)
         codes.append((lo + hi) / 2)
-    mismatches = sum(1 for c in codes if decode_code(model, c) != cb.decode(c))
+    decoded = parallel_decode(model, codes).sequences()
+    mismatches = sum(1 for c, seq in zip(codes, decoded) if seq != cb.decode(c))
     rows.append(("decode_equivalence", mismatches == 0, str(mismatches)))
 
     worst = Fraction(0)
@@ -268,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="decode one sample batch to CSV")
     common(sp)
-    sp.add_argument("--temperature", dest="temperature_single", type=float, default=None)
+    sp.add_argument("--temperature", type=float, default=None)
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("diversity", help="reward vs n-gram diversity sweep")
@@ -279,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("variance", help="estimator SD sweep")
     common(sp, n_list=True)
-    sp.add_argument("--temperature", dest="temperature_single", type=float, default=None)
+    sp.add_argument("--temperature", type=float, default=None)
     sp.add_argument("--reference", required=True)
     sp.add_argument("--reps", type=int, default=100)
     sp.set_defaults(fn=cmd_variance)
@@ -306,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ParameterError("worker_count must be >= 1")
         return args.fn(args)
     except (InputError, InvalidModelError, EnumerationBoundError, OSError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -84,6 +84,7 @@ def step_variance_experiment(
 
     if reps < 2:
         raise ParameterError("reps must be >= 2")
+    base = np.array(lattice_codes(LatticeSpec(n_points, mode)))
     rng = np.random.default_rng(seed)
     los = np.array([float(iv.lo) for iv, _ in f.pieces])
     coeffs = np.array([float(a) for _, a in f.pieces])
@@ -92,10 +93,6 @@ def step_variance_experiment(
         idx = np.searchsorted(los, points, side="right") - 1
         return coeffs[idx]
 
-    if mode == "paper":
-        base = np.arange(1, n_points + 1) / (n_points + 1)
-    else:
-        base = np.arange(n_points) / n_points
     shifts = rng.random(reps)
     lattice_pts = (shifts[:, None] + base[None, :]) % 1.0
     lattice_est = piecewise(lattice_pts).mean(axis=1)
@@ -147,6 +144,20 @@ def covariance_matrix_eigenvalues(n: int) -> tuple[float, list[float]]:
 # Estimator statistics
 
 
+def draw(
+    model: SequenceModel, method: str, n: int, tag, chain: ModifierChain | None = None,
+    lattice_mode: str = "paper",
+) -> SampleSet:
+    """An n-sample batch, a pure function of `tag`: "arithmetic" decodes the lattice
+    shifted by random.Random(tag).random(), "ancestral" n codes from random.Random(tag)."""
+    if method == "arithmetic":
+        shift = random.Random(tag).random()
+        return arithmetic_sample(model, LatticeSpec(n, lattice_mode, shift), chain)
+    if method == "ancestral":
+        return ancestral_sample(model, n, tag, chain)
+    raise ParameterError(f"unknown method {method!r}")
+
+
 def sample_mean(samples: SampleSet, reward: RewardFn) -> float:
     if not samples.entries:
         raise ParameterError("empty sample set")
@@ -180,24 +191,17 @@ def estimator_sd(
 ) -> EstimatorReport:
     """Run an estimator `reps` times with independent shifts/seeds.
 
-    Each rep derives its randomness from (seed, rep index), so serial and
-    parallel schedules agree bit-exactly.
+    Each rep's batch comes from `draw` with the tag f"{seed}:{rep}", so the
+    report is a pure function of the arguments.
     """
     import numpy as np
 
     if reps < 2:
         raise ParameterError("reps must be >= 2")
-    ests = []
-    for rep in range(reps):
-        tag = f"{seed}:{rep}"
-        if method == "arithmetic":
-            b = random.Random(tag).random()
-            ss = arithmetic_sample(model, LatticeSpec(n, lattice_mode, b), chain)
-        elif method == "ancestral":
-            ss = ancestral_sample(model, n, tag, chain)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-        ests.append(float(sample_mean(ss, reward)))
+    ests = [
+        float(sample_mean(draw(model, method, n, f"{seed}:{rep}", chain, lattice_mode), reward))
+        for rep in range(reps)
+    ]
     arr = np.array(ests)
     return EstimatorReport(
         method=method,
@@ -255,15 +259,17 @@ def sentence_bleu(
     if not hyp:
         return 0.0
     log_prec = 0.0
-    for n in range(1, max_n + 1):
-        hg = _ngrams(hyp, n)
-        rg = _ngrams(ref, n)
+    for n in range(1, min(max_n, len(hyp)) + 1):  # a longer n has no n-grams and adds log(1/1) = 0
+        pool: dict[Tokens, int] = {}  # reference n-gram counts left to match
+        for i in range(len(ref) - n + 1):
+            g = ref[i : i + n]
+            pool[g] = pool.get(g, 0) + 1
         matched = 0
-        pool = list(rg)
-        for g in hg:
-            if g in pool:
-                pool.remove(g)
+        for i in range(len(hyp) - n + 1):
+            g = hyp[i : i + n]
+            if pool.get(g):
+                pool[g] -= 1
                 matched += 1
-        log_prec += math.log((matched + 1) / (len(hg) + 1))
+        log_prec += math.log((matched + 1) / (len(hyp) - n + 1 + 1))
     bp = math.exp(min(0.0, 1.0 - len(ref) / len(hyp)))
     return bp * math.exp(log_prec / max_n)

@@ -34,7 +34,7 @@ Tokens = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered printable symbols; eos=None means fixed-length sequences."""
+    """Ordered symbols, each free of whitespace and ','; eos=None means fixed-length sequences."""
 
     symbols: tuple[str, ...]
     eos: int | None = None
@@ -43,10 +43,16 @@ class Vocabulary:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise InvalidModelError("empty vocabulary")
+        for s in self.symbols:
+            if not isinstance(s, str) or s.split() != [s] or "," in s:
+                raise InvalidModelError(f"symbol {s!r} is not a non-empty string free of whitespace and ','")
         if len(set(self.symbols)) != len(self.symbols):
             raise InvalidModelError("duplicate vocabulary symbols")
-        if self.eos is not None and not (0 <= self.eos < len(self.symbols)):
-            raise InvalidModelError(f"eos index {self.eos} out of range")
+        if self.eos is not None:
+            if not isinstance(self.eos, int) or isinstance(self.eos, bool):
+                raise InvalidModelError(f"eos {self.eos!r} is not a vocabulary index")
+            if not (0 <= self.eos < len(self.symbols)):
+                raise InvalidModelError(f"eos index {self.eos} out of range")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -367,9 +373,6 @@ def model_from_dict(spec: dict) -> SequenceModel:
         mtype = spec["type"]
         max_length = int(spec["max_length"])
         eos = spec.get("eos")
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidModelError(f"bad model definition: {e}") from None
-    try:
         if mtype == "synthetic":
             return SyntheticLM(
                 seed=int(spec["seed"]),
@@ -388,7 +391,7 @@ def model_from_dict(spec: dict) -> SequenceModel:
                 for ctx, row in spec["rows"].items()
             }
             return MarkovModel(int(spec["order"]), rows, vocab, max_length)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise InvalidModelError(f"bad model definition: {e}") from None
     raise InvalidModelError(f"unknown model type {mtype!r}")
 

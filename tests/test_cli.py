@@ -232,11 +232,22 @@ def one_error_line(capsys) -> str:
     [
         (["stepfn"], "0 1/2 abc\n"),
         (["stepfn"], "0 1/0 1\n"),
+        (["stepfn", "--n", "0"], "0 1 1\n"),
+        (["stepfn", "--n", "-2"], "0 1 1\n"),
         (["oracle-check", "--n", "-1"], None),
         (["oracle-check", "--n", "-3"], None),
         (["oracle-check", "--n", "0"], None),
+        (["sample", "--workers", "0"], None),
+        (["sample", "--method", "ancestral", "--workers", "0"], None),
+        (["diversity", "--method", "ancestral", "--workers", "0"], None),
+        (["variance", "--workers", "0"], None),
+        (["variance", "--method", "ancestral", "--workers", "-1"], None),
     ],
-    ids=["stepfn-non-numeric", "stepfn-zero-denominator", "oracle-n-1", "oracle-n-3", "oracle-n0"],
+    ids=[
+        "stepfn-non-numeric", "stepfn-zero-denominator", "stepfn-n0", "stepfn-n-2",
+        "oracle-n-1", "oracle-n-3", "oracle-n0", "sample-workers0", "sample-ancestral-workers0",
+        "diversity-ancestral-workers0", "variance-workers0", "variance-ancestral-workers-1",
+    ],
 )
 def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys):
     if text is None:
@@ -244,5 +255,39 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
     else:
         (tmp_path / "f.txt").write_text(text)
         command = command + ["--stepfn", str(tmp_path / "f.txt")]
+    if command[0] in ("diversity", "variance"):
+        (tmp_path / "refs.txt").write_text("A B\n")
+        command = command + ["--reference", str(tmp_path / "refs.txt")]
     assert run(command) == 1
+    line = one_error_line(capsys)
+    if "--workers" in command:
+        assert line == "error: worker_count must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(BERNOULLI, rows=[["0.6", "0.4"]]),
+        dict(DETERMINISTIC, table=[["A B", "1"]]),
+        dict(BERNOULLI, vocabulary=["A", 1]),
+        dict(BERNOULLI, vocabulary=["A,", "B"]),
+        dict(BERNOULLI, vocabulary=["A B", "C"]),
+        dict(BERNOULLI, vocabulary=["", "B"]),
+        dict(BERNOULLI, eos=True),
+        dict(BERNOULLI, eos=1.5),
+        dict(SYNTH, eos=True),
+    ],
+    ids=[
+        "rows-list", "table-list", "non-string-symbol", "comma-symbol", "space-symbol", "empty-symbol",
+        "eos-bool", "eos-float", "synthetic-eos-bool",
+    ],
+)
+def test_malformed_model_file_is_one_error_line(spec, model_file, capsys):
+    assert run(["sample", "--model", model_file(spec), "--n", "2"]) == 1
     one_error_line(capsys)
+
+
+def test_non_integer_seed_variable_is_one_error_line(model_file, monkeypatch, capsys):
+    monkeypatch.setenv("ARITH_DECODE_SEED", "abc")
+    assert run(["sample", "--model", model_file(BERNOULLI), "--n", "2"]) == 1
+    assert "ARITH_DECODE_SEED" in one_error_line(capsys)

@@ -10,6 +10,7 @@ import pytest
 from arithdecode import (
     LatticeSpec,
     StepFunction,
+    Temperature,
     UnitInterval,
     ancestral_sample,
     arithmetic_sample,
@@ -23,6 +24,7 @@ from arithdecode import (
 )
 from arithdecode.evaluation import (
     covariance_matrix_eigenvalues,
+    draw,
     lattice_step_estimate,
     step_integral,
 )
@@ -88,6 +90,26 @@ class TestEstimatorSd:
         assert a == b
 
 
+class TestDraw:
+    @pytest.mark.parametrize("mode", ["paper", "uniform"])
+    @pytest.mark.parametrize("chain", [None, [Temperature(0.7)]])
+    def test_arithmetic_tag_seeds_the_shift(self, mode, chain):
+        m = bernoulli_model()
+        shift = random.Random("7:3").random()
+        assert draw(m, "arithmetic", 5, "7:3", chain, mode) == arithmetic_sample(
+            m, LatticeSpec(5, mode, shift), chain
+        )
+
+    @pytest.mark.parametrize("tag", [7, "7:0.5:1"])
+    def test_ancestral_tag_seeds_the_codes(self, tag):
+        m = bernoulli_model()
+        assert draw(m, "ancestral", 6, tag) == ancestral_sample(m, 6, tag)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError):
+            draw(bernoulli_model(), "beam", 4, 0)
+
+
 class TestStepFunctions:
     halfsplit = StepFunction(
         ((UnitInterval(F(0), F(1, 2)), F(1)), (UnitInterval(F(1, 2), F(1)), F(0)))
@@ -138,6 +160,11 @@ class TestStepFunctions:
             if res["lattice_var"] <= res["mc_var"] * 1.05:
                 wins += 1
         assert wins >= 19
+
+    @pytest.mark.parametrize("n,mode", [(0, "uniform"), (-2, "paper"), (3, "grid")])
+    def test_bad_lattice_rejected(self, n, mode):
+        with pytest.raises(ParameterError):
+            step_variance_experiment(self.halfsplit, n, mode, reps=10)
 
 
 class TestCovarianceConstants:
@@ -199,6 +226,33 @@ class TestSentenceBleu:
 
     def test_zero_overlap_smoothing(self):
         assert sentence_bleu((0, 0, 0, 0), (1, 1, 1, 1), max_n=1) == pytest.approx(0.2)
+
+    def test_matches_list_clipping_reference(self):
+        def reference(hyp, ref, max_n):
+            log_prec = 0.0
+            for n in range(1, max_n + 1):
+                hg = [hyp[i : i + n] for i in range(len(hyp) - n + 1)]
+                pool = [ref[i : i + n] for i in range(len(ref) - n + 1)]
+                matched = 0
+                for g in hg:
+                    if g in pool:
+                        pool.remove(g)
+                        matched += 1
+                log_prec += math.log((matched + 1) / (len(hg) + 1))
+            return math.exp(min(0.0, 1.0 - len(ref) / len(hyp))) * math.exp(log_prec / max_n)
+
+        rng = random.Random(11)
+        for _ in range(2000):
+            hyp = tuple(rng.randrange(3) for _ in range(rng.randint(1, 9)))
+            ref = tuple(rng.randrange(3) for _ in range(rng.randint(1, 9)))
+            max_n = rng.randint(1, 6)
+            assert sentence_bleu(hyp, ref, max_n) == reference(hyp, ref, max_n)
+
+    def test_repeated_ngrams_are_clipped(self):
+        # three (0, 0) bigrams in the hypothesis, one in the reference
+        assert sentence_bleu((0, 0, 0, 0), (0, 0), max_n=1) == pytest.approx(3 / 5)
+        assert sentence_bleu((0, 0, 0, 0), (0, 0), max_n=2) == pytest.approx(math.sqrt(3 / 5 * 2 / 4))
+        assert sentence_bleu((0, 0), (0, 0, 0, 0), max_n=1) == pytest.approx(math.exp(-1))
 
     def test_empty_hypothesis(self):
         assert sentence_bleu((), (1, 2)) == 0.0

@@ -1,0 +1,49 @@
+"""Fixed-seed CLI runs replayed against recorded output bytes.
+
+Each case's argv names files in tests/golden/ by bare name; its expected
+stdout is tests/golden/<case>.csv.  Every case exits 0 with nothing on stderr.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from arithdecode.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CHAIN = ["--top-k", "2", "--nucleus-p", "0.8", "--temperature", "0.7"]
+
+CASES = {
+    "variance_arithmetic": ["variance", "--model", "markov.json", "--n", "4,16", "--reps", "20",
+                            "--reference", "refs_markov.txt", "--seed", "3"],
+    "variance_ancestral": ["variance", "--model", "markov.json", "--method", "ancestral", "--n", "4,16",
+                           "--reps", "20", "--reference", "refs_markov.txt", "--seed", "3"],
+    "diversity_arithmetic": ["diversity", "--model", "markov.json", "--n", "8", "--temperature", "0.5,1.0",
+                             "--reference", "refs_markov.txt", "--seed", "3"],
+    "diversity_ancestral": ["diversity", "--model", "markov.json", "--method", "ancestral", "--n", "8",
+                            "--temperature", "0.5,1.0", "--reference", "refs_markov.txt", "--seed", "3"],
+    "oracle_check": ["oracle-check", "--model", "markov.json"],
+    "sample_synthetic_uniform_workers2": ["sample", "--model", "synthetic.json", "--n", "32", "--seed", "5",
+                                          "--lattice-mode", "uniform", "--workers", "2"],
+    "stepfn_paper": ["stepfn", "--stepfn", "stepfn.txt", "--n", "1,2,3,5,16", "--lattice-mode", "paper",
+                     "--reps", "200", "--seed", "4"],
+    "stepfn_uniform": ["stepfn", "--stepfn", "stepfn.txt", "--n", "1,2,3,5,16", "--reps", "200", "--seed", "4"],
+}
+for model in ("markov", "tabular"):
+    for method in ("arithmetic", "ancestral"):
+        argv = ["sample", "--model", f"{model}.json", "--method", method, "--n", "16", "--seed", "7"]
+        CASES[f"sample_{model}_{method}"] = argv
+        CASES[f"sample_{model}_{method}_chain"] = argv + CHAIN
+
+
+def resolve(argv: list[str]) -> list[str]:
+    """The argv with every golden-directory file name made a full path."""
+    return [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, capsys):
+    assert main(resolve(CASES[case])) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{case}.csv").read_bytes()
