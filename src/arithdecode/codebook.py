@@ -87,7 +87,7 @@ class CategoricalDistribution:
         if exact:
             if total != 1:
                 raise InvalidDistributionError(f"exact probabilities sum to {total}, not 1")
-        elif abs(total - 1.0) > FAST_SUM_TOL:
+        elif not (abs(total - 1.0) <= FAST_SUM_TOL):  # NaN fails this test too
             raise InvalidDistributionError(f"probabilities sum to {total!r}")
 
     def __len__(self) -> int:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .codebook import CategoricalDistribution, Real, is_exact
+from .codebook import FAST_SUM_TOL, CategoricalDistribution, Real, is_exact
 from .errors import (
     InvalidModelError,
     InvalidPrefixError,
@@ -231,7 +232,7 @@ class TabularModel(SequenceModel):
         exact = all(is_exact(v) for v in table.values())
         self.table = {tuple(k): Fraction(v) if exact else v for k, v in table.items()}
         total = sum(self.table.values())
-        if (exact and total != 1) or (not exact and abs(total - 1.0) > 1e-9):
+        if (exact and total != 1) or (not exact and not (abs(total - 1.0) <= FAST_SUM_TOL)):
             raise InvalidModelError(f"joint table sums to {total}, not 1")
         self._mass: dict[Tokens, Real] = {}
         for seq, p in self.table.items():
@@ -311,8 +312,8 @@ class SyntheticLM(SequenceModel):
     ):
         if vocab_size < 2:
             raise ParameterError("synthetic LM needs vocab_size >= 2")
-        if peakedness <= 0:
-            raise ParameterError("peakedness must be positive")
+        if not (math.isfinite(peakedness) and peakedness > 0):
+            raise ParameterError(f"peakedness {peakedness!r} is not finite and positive")
         self.seed = seed
         self.peakedness = peakedness
         self.vocabulary = Vocabulary(tuple(f"t{i}" for i in range(vocab_size)), eos=eos)
@@ -331,11 +332,9 @@ class SyntheticLM(SequenceModel):
                 hashlib.blake2b(key, digest_size=64, salt=block.to_bytes(16, "big")).digest()
                 for block in range((size + 7) // 8)
             )
-        logs = []
-        for i in range(size):
-            word = int.from_bytes(digest[8 * i : 8 * (i + 1)], "big")
-            u = (word + 1) / (2**64 + 1)  # strictly inside (0, 1)
-            logs.append(self.peakedness * math.log(u))
+        words = struct.unpack(f">{size}Q", digest[: 8 * size])
+        # (word + 1) / (2**64 + 1) lies strictly inside (0, 1)
+        logs = [self.peakedness * math.log((word + 1) / (2**64 + 1)) for word in words]
         peak = max(logs)
         weights = [math.exp(x - peak) for x in logs]
         total = sum(weights)
@@ -346,9 +345,16 @@ class SyntheticLM(SequenceModel):
 # Model-definition files (JSON; probabilities as decimal strings)
 
 
+def _json(value, kind, what: str):
+    """`value`, checked to be a `kind` as JSON decodes it; a bool is no number."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidModelError(f"{what} {value!r} has the wrong JSON type")
+    return value
+
+
 def _parse_prob(s: str) -> Fraction:
     try:
-        return Fraction(s)
+        return Fraction(_json(s, str, "probability"))
     except (ValueError, ZeroDivisionError):
         raise InvalidModelError(f"unparseable probability {s!r}") from None
 
@@ -371,26 +377,28 @@ def _format_prob(p: Real) -> str:
 def model_from_dict(spec: dict) -> SequenceModel:
     try:
         mtype = spec["type"]
-        max_length = int(spec["max_length"])
+        max_length = _json(spec["max_length"], int, "max_length")
+        if max_length < 1:
+            raise InvalidModelError(f"max_length {max_length} is not positive")
         eos = spec.get("eos")
         if mtype == "synthetic":
             return SyntheticLM(
-                seed=int(spec["seed"]),
-                vocab_size=int(spec["vocab_size"]),
+                seed=_json(spec["seed"], int, "seed"),
+                vocab_size=_json(spec["vocab_size"], int, "vocab_size"),
                 max_length=max_length,
-                peakedness=float(spec.get("peakedness", 1.0)),
+                peakedness=float(_json(spec.get("peakedness", 1.0), (int, float), "peakedness")),
                 eos=eos,
             )
-        vocab = Vocabulary(tuple(spec["vocabulary"]), eos=eos)
+        vocab = Vocabulary(tuple(_json(spec["vocabulary"], list, "vocabulary")), eos=eos)
         if mtype == "tabular":
             table = {vocab.parse(k): _parse_prob(v) for k, v in spec["table"].items()}
             return TabularModel(table, vocab, max_length)
         if mtype == "markov":
             rows = {
-                vocab.parse(ctx): tuple(_parse_prob(x) for x in row)
+                vocab.parse(ctx): tuple(map(_parse_prob, _json(row, list, "row")))
                 for ctx, row in spec["rows"].items()
             }
-            return MarkovModel(int(spec["order"]), rows, vocab, max_length)
+            return MarkovModel(_json(spec["order"], int, "order"), rows, vocab, max_length)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise InvalidModelError(f"bad model definition: {e}") from None
     raise InvalidModelError(f"unknown model type {mtype!r}")

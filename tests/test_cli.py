@@ -276,10 +276,28 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
         dict(BERNOULLI, eos=True),
         dict(BERNOULLI, eos=1.5),
         dict(SYNTH, eos=True),
+        dict(SYNTH, peakedness=math.nan),
+        dict(SYNTH, peakedness=math.inf),
+        dict(BERNOULLI, max_length=1.7),
+        dict(BERNOULLI, max_length=0),
+        dict(SYNTH, max_length=-3),
+        dict(BERNOULLI, max_length=True),
+        dict(BERNOULLI, vocabulary="AB"),
+        dict(BERNOULLI, rows={"": [0.6, 0.4]}),
+        dict(BERNOULLI, rows={"": "01"}),
+        dict(DETERMINISTIC, table={"A B": 1}),
+        dict(SYNTH, seed=1.9),
+        dict(SYNTH, vocab_size=4.7),
+        dict(BERNOULLI, order=0.5),
+        dict(SYNTH, peakedness="2"),
+        dict(SYNTH, peakedness=True),
     ],
     ids=[
         "rows-list", "table-list", "non-string-symbol", "comma-symbol", "space-symbol", "empty-symbol",
-        "eos-bool", "eos-float", "synthetic-eos-bool",
+        "eos-bool", "eos-float", "synthetic-eos-bool", "peakedness-nan", "peakedness-infinity",
+        "max-length-float", "max-length-zero", "max-length-negative", "max-length-bool", "vocabulary-string",
+        "number-probabilities", "row-string", "table-number", "seed-float", "vocab-size-float", "order-float",
+        "peakedness-string", "peakedness-bool",
     ],
 )
 def test_malformed_model_file_is_one_error_line(spec, model_file, capsys):

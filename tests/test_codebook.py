@@ -63,6 +63,11 @@ class TestCdfIntervals:
         with pytest.raises(InvalidDistributionError):
             CategoricalDistribution((F(1, 2), F(-1, 2), F(1)))
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (math.nan,), (math.inf, 0.0), (0.5, math.nan, 0.5)])
+    def test_non_finite_distribution_rejected(self, probs):
+        with pytest.raises(InvalidDistributionError, match="sum to"):
+            CategoricalDistribution(probs)
+
     @given(exact_dists())
     def test_partition_property(self, dist):
         ivs = cdf_intervals(dist)

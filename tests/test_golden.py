@@ -34,6 +34,11 @@ for model in ("markov", "tabular"):
         argv = ["sample", "--model", f"{model}.json", "--method", method, "--n", "16", "--seed", "7"]
         CASES[f"sample_{model}_{method}"] = argv
         CASES[f"sample_{model}_{method}_chain"] = argv + CHAIN
+# V=8, L=12 with no EOS: past the first few tokens every code decodes alone.
+LONE = ["sample", "--model", "synthetic_v8.json", "--n", "256", "--seed", "7"]
+CASES["sample_synthetic_v8_arithmetic"] = LONE
+CASES["sample_synthetic_v8_ancestral"] = LONE + ["--method", "ancestral"]
+CASES["sample_synthetic_v8_arithmetic_chain"] = LONE + ["--temperature", "0.7", "--nucleus-p", "0.9"]
 
 
 def resolve(argv: list[str]) -> list[str]:

@@ -2,12 +2,13 @@
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arithdecode import (
@@ -34,6 +35,7 @@ from arithdecode import (
     renormalize,
     sequence_logprob,
 )
+from arithdecode.codebook import FAST_SUM_TOL
 from arithdecode.errors import EmptyIntervalError, ParameterError
 from arithdecode.oracle import prefix_intervals, prefix_probabilities
 from util import bernoulli_model, deterministic_model, random_markov_model, random_tabular_model
@@ -355,6 +357,73 @@ class TestCdfCache:
         assert a.cdf.symbols == (0, 1)
         assert "cdf" in vars(a) and "cdf" not in vars(b)
         assert a == b and hash(a) == hash(b)
+
+
+class ReadBack(SequenceModel):
+    """Step 1 draws from `probs`; step 2 splits [0, 1) at `cut`, so it decodes
+    its second symbol exactly when the renormalized code is >= cut."""
+
+    def __init__(self, probs, cut, cached):
+        size = max(len(probs), 2)
+        self.vocabulary, self.max_length = Vocabulary(tuple(f"s{i}" for i in range(size))), 2
+        self.first = CategoricalDistribution(tuple(probs) + (0.0,) * (size - len(probs)))
+        self.split = (cut, 1.0 - cut) + (0.0,) * (size - 2)
+        self.cached = cached
+        if cached:
+            self.first.cdf  # built now, so the walk bisects it
+
+    def conditional(self, prefix):
+        if prefix:
+            return CategoricalDistribution(self.split)
+        return self.first if self.cached else CategoricalDistribution(self.first.probs)
+
+
+@st.composite
+def float_dists(draw):
+    """Float rows with zero and negligible symbols, summing to 1 within FAST_SUM_TOL."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.just(1e-20), st.floats(1e-3, 1.0)), min_size=1, max_size=8))
+    total = sum(raw)
+    assume(total > 0)
+    scale = 1 + draw(st.floats(-0.9 * FAST_SUM_TOL, 0.9 * FAST_SUM_TOL))
+    return CategoricalDistribution(tuple(p / total * scale for p in raw))
+
+
+class TestLoneCodeScan:
+    """A lone float code on a float distribution with no CDF built is located
+    by a scan; it must agree bit for bit with bisecting the cached cuts."""
+
+    @given(float_dists(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_cached_cdf(self, dist, data):
+        symbols, _, fcuts, fwidths, logprobs = dist.cdf
+        top = math.nextafter(1.0, 0.0)
+        c = data.draw(st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(fcuts[:-1] + (0.0, top))))
+        if data.draw(st.booleans()):
+            c = F(c)
+        k = bisect_right(fcuts, c) - 1
+        residual = min((c - fcuts[k]) / fwidths[k], top)
+        for cached in (False, True):
+            at, past = (
+                parallel_decode(ReadBack(dist.probs, cut, cached), [c]).entries[0]
+                for cut in (residual, math.nextafter(residual, 1.0))
+            )
+            # the renormalized code is >= residual and below the next float: it is residual
+            assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
+            assert at.logprob == logprobs[k] + math.log(1.0 - residual)
+
+    def test_cdf_built_only_where_codes_share_a_prefix(self):
+        dists = {}
+
+        class Recording(SyntheticLM):
+            def conditional(self, prefix):
+                dist = dists[prefix] = super().conditional(prefix)
+                return dist
+
+        m = Recording(0, 8, 32)
+        seqs = arithmetic_sample(m, LatticeSpec(256, "paper", random.Random(0).random())).sequences()
+        codes_under = Counter(s[:d] for s in seqs for d in range(len(s)))
+        assert dists.keys() == codes_under.keys()
+        assert {p for p, d in dists.items() if "cdf" in vars(d)} == {p for p, n in codes_under.items() if n >= 2}
 
 
 class TestDistributionalProperties:
