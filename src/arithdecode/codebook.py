@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ContractViolationError, InvalidDistributionError, ParameterError
 
@@ -93,28 +93,43 @@ class CategoricalDistribution:
     def __len__(self) -> int:
         return len(self.probs)
 
-    @cached_property
-    def cdf(self) -> CDF:
-        """The partition of [0, 1), built on first use and kept with the distribution.
+    def _cuts(self) -> Iterator[tuple[Optional[int], Real]]:
+        """(symbol, lower cut) for each symbol that owns an interval, in order,
+        then (None, 1): the one partition rule, read by `cdf` and `interval_at`.
 
-        Zero-probability symbols, and float ones too small to move their lower
-        cut, own no interval; the last cut is exactly 1, so float drift cannot
-        leave a gap at the top.
+        A symbol's upper cut is min(lo + p, 1); a zero-probability symbol, or a
+        float one too small to move its lower cut, owns no interval.  The last
+        cut is exactly 1, so float drift cannot leave a gap at the top.
         """
         one: Real = Fraction(1) if self.is_exact else 1.0
-        symbols, cuts, lo = [], [], one - one
+        lo = one - one
         for idx, p in enumerate(self.probs):
             hi = min(lo + p, one)
             if hi > lo:
-                symbols.append(idx)
-                cuts.append(lo)
+                yield idx, lo
             lo = hi
-        if not symbols:
+        yield None, one
+
+    @cached_property
+    def cdf(self) -> CDF:
+        """The partition of [0, 1), built on first use and kept with the distribution."""
+        kept = list(self._cuts())
+        if len(kept) == 1:
             raise InvalidDistributionError("all probabilities are zero")
-        cuts.append(one)
+        symbols = tuple(idx for idx, _ in kept[:-1])
+        cuts = tuple(lo for _, lo in kept)
         widths = (float(hi - lo) for lo, hi in zip(cuts, cuts[1:]))
         logprobs = (math.log(self.probs[idx]) for idx in symbols)
-        return CDF(tuple(symbols), tuple(cuts), tuple(map(float, cuts)), tuple(widths), tuple(logprobs))
+        return CDF(symbols, cuts, tuple(map(float, cuts)), tuple(widths), tuple(logprobs))
+
+    def interval_at(self, c: Real) -> tuple[int, float, float]:
+        """The symbol of a float distribution whose interval holds c in [0, 1),
+        with its lower and upper cut: the floats `cdf` holds, read by a scan
+        that stops at the first cut above c, so no CDF is built."""
+        for idx, lo in self._cuts():
+            if lo > c:
+                return found, below, lo
+            found, below = idx, lo
 
 
 @dataclass(frozen=True)

@@ -353,8 +353,9 @@ def _json(value, kind, what: str):
 
 
 def _parse_prob(s: str) -> Fraction:
+    _json(s, str, "probability")
     try:
-        return Fraction(_json(s, str, "probability"))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise InvalidModelError(f"unparseable probability {s!r}") from None
 

@@ -24,12 +24,11 @@ float operations of its own step-by-step decode and the results are
 bit-identical to it.  decode_code is the one-code case of the same walk.
 
 On long sequences almost every prefix past the first few tokens holds one
-code.  A lone code on a float distribution whose CDF is not built yet is
-located by a scan of the probabilities with the accumulation `cdf` uses,
-stopping at the first cut above the code; no CDF is built, and the cut, width
-and log-probability are the floats the bisect would have read.  Exact
-distributions, and those whose CDF is already cached (Markov rows, tabular
-conditionals), bisect.
+code.  A lone code on a float distribution is located by
+`CategoricalDistribution.interval_at`, a scan of the cuts `cdf` would build
+that stops at the first cut above the code; no CDF is built, and the cut,
+width and log-probability are the floats the bisect would have read.
+Exact distributions bisect.
 
 Arithmetic sampling decodes a shifted lattice of codes; ancestral sampling
 decodes i.i.d. uniform codes, so both methods share one code path.
@@ -87,23 +86,13 @@ def _walk(
                 seqs[i], logprobs[i] = tokens, logprob
             continue
         dist = conditional_modified(model, tokens, chain)
-        if len(run) == 1 and not dist.is_exact and "cdf" not in vars(dist):
-            # A lone code on a float distribution with no CDF built: scan the
-            # cuts `cdf` would build up to the first kept one above the code.
+        if len(run) == 1 and not dist.is_exact:  # a lone float code builds no CDF
             [(i, c)] = run
-            lo, upper = 0.0, 1.0
-            for idx, p in enumerate(dist.probs):
-                hi = min(lo + p, 1.0)
-                if hi > lo:
-                    if lo > c:
-                        upper = lo
-                        break
-                    sym, below = idx, lo
-                lo = hi
-            c = (c - below) / (upper - below)
+            k, lo, hi = dist.interval_at(c)
+            c = (c - lo) / (hi - lo)
             if c >= 1.0:  # float rounding at the top edge
                 c = math.nextafter(1.0, 0.0)
-            stack.append((tokens + (sym,), logprob + math.log(dist.probs[sym]), [(i, c)]))
+            stack.append((tokens + (k,), logprob + math.log(dist.probs[k]), [(i, c)]))
             continue
         symbols, cuts, fcuts, fwidths, symbol_logprobs = dist.cdf
         children: dict[int, list] = {}

@@ -265,32 +265,32 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, message",
     [
-        dict(BERNOULLI, rows=[["0.6", "0.4"]]),
-        dict(DETERMINISTIC, table=[["A B", "1"]]),
-        dict(BERNOULLI, vocabulary=["A", 1]),
-        dict(BERNOULLI, vocabulary=["A,", "B"]),
-        dict(BERNOULLI, vocabulary=["A B", "C"]),
-        dict(BERNOULLI, vocabulary=["", "B"]),
-        dict(BERNOULLI, eos=True),
-        dict(BERNOULLI, eos=1.5),
-        dict(SYNTH, eos=True),
-        dict(SYNTH, peakedness=math.nan),
-        dict(SYNTH, peakedness=math.inf),
-        dict(BERNOULLI, max_length=1.7),
-        dict(BERNOULLI, max_length=0),
-        dict(SYNTH, max_length=-3),
-        dict(BERNOULLI, max_length=True),
-        dict(BERNOULLI, vocabulary="AB"),
-        dict(BERNOULLI, rows={"": [0.6, 0.4]}),
-        dict(BERNOULLI, rows={"": "01"}),
-        dict(DETERMINISTIC, table={"A B": 1}),
-        dict(SYNTH, seed=1.9),
-        dict(SYNTH, vocab_size=4.7),
-        dict(BERNOULLI, order=0.5),
-        dict(SYNTH, peakedness="2"),
-        dict(SYNTH, peakedness=True),
+        (dict(BERNOULLI, rows=[["0.6", "0.4"]]), "bad model definition"),
+        (dict(DETERMINISTIC, table=[["A B", "1"]]), "bad model definition"),
+        (dict(BERNOULLI, vocabulary=["A", 1]), "symbol 1 is not"),
+        (dict(BERNOULLI, vocabulary=["A,", "B"]), "symbol 'A,' is not"),
+        (dict(BERNOULLI, vocabulary=["A B", "C"]), "symbol 'A B' is not"),
+        (dict(BERNOULLI, vocabulary=["", "B"]), "symbol '' is not"),
+        (dict(BERNOULLI, eos=True), "eos True is not a vocabulary index"),
+        (dict(BERNOULLI, eos=1.5), "eos 1.5 is not a vocabulary index"),
+        (dict(SYNTH, eos=True), "eos True is not a vocabulary index"),
+        (dict(SYNTH, peakedness=math.nan), "peakedness nan is not finite and positive"),
+        (dict(SYNTH, peakedness=math.inf), "peakedness inf is not finite and positive"),
+        (dict(BERNOULLI, max_length=1.7), "max_length 1.7 has the wrong JSON type"),
+        (dict(BERNOULLI, max_length=0), "max_length 0 is not positive"),
+        (dict(SYNTH, max_length=-3), "max_length -3 is not positive"),
+        (dict(BERNOULLI, max_length=True), "max_length True has the wrong JSON type"),
+        (dict(BERNOULLI, vocabulary="AB"), "vocabulary 'AB' has the wrong JSON type"),
+        (dict(BERNOULLI, rows={"": [0.6, 0.4]}), "probability 0.6 has the wrong JSON type"),
+        (dict(BERNOULLI, rows={"": "01"}), "row '01' has the wrong JSON type"),
+        (dict(DETERMINISTIC, table={"A B": 1}), "probability 1 has the wrong JSON type"),
+        (dict(SYNTH, seed=1.9), "seed 1.9 has the wrong JSON type"),
+        (dict(SYNTH, vocab_size=4.7), "vocab_size 4.7 has the wrong JSON type"),
+        (dict(BERNOULLI, order=0.5), "order 0.5 has the wrong JSON type"),
+        (dict(SYNTH, peakedness="2"), "peakedness '2' has the wrong JSON type"),
+        (dict(SYNTH, peakedness=True), "peakedness True has the wrong JSON type"),
     ],
     ids=[
         "rows-list", "table-list", "non-string-symbol", "comma-symbol", "space-symbol", "empty-symbol",
@@ -300,9 +300,9 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
         "peakedness-string", "peakedness-bool",
     ],
 )
-def test_malformed_model_file_is_one_error_line(spec, model_file, capsys):
+def test_malformed_model_file_is_one_error_line(spec, message, model_file, capsys):
     assert run(["sample", "--model", model_file(spec), "--n", "2"]) == 1
-    one_error_line(capsys)
+    assert message in one_error_line(capsys)
 
 
 def test_non_integer_seed_variable_is_one_error_line(model_file, monkeypatch, capsys):

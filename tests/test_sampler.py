@@ -363,19 +363,14 @@ class ReadBack(SequenceModel):
     """Step 1 draws from `probs`; step 2 splits [0, 1) at `cut`, so it decodes
     its second symbol exactly when the renormalized code is >= cut."""
 
-    def __init__(self, probs, cut, cached):
+    def __init__(self, probs, cut):
         size = max(len(probs), 2)
         self.vocabulary, self.max_length = Vocabulary(tuple(f"s{i}" for i in range(size))), 2
-        self.first = CategoricalDistribution(tuple(probs) + (0.0,) * (size - len(probs)))
+        self.first = tuple(probs) + (0.0,) * (size - len(probs))
         self.split = (cut, 1.0 - cut) + (0.0,) * (size - 2)
-        self.cached = cached
-        if cached:
-            self.first.cdf  # built now, so the walk bisects it
 
     def conditional(self, prefix):
-        if prefix:
-            return CategoricalDistribution(self.split)
-        return self.first if self.cached else CategoricalDistribution(self.first.probs)
+        return CategoricalDistribution(self.split if prefix else self.first)
 
 
 @st.composite
@@ -389,8 +384,8 @@ def float_dists(draw):
 
 
 class TestLoneCodeScan:
-    """A lone float code on a float distribution with no CDF built is located
-    by a scan; it must agree bit for bit with bisecting the cached cuts."""
+    """A lone float code on a float distribution is located by a scan; it must
+    agree bit for bit with bisecting the distribution's CDF."""
 
     @given(float_dists(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -401,15 +396,15 @@ class TestLoneCodeScan:
         if data.draw(st.booleans()):
             c = F(c)
         k = bisect_right(fcuts, c) - 1
+        assert dist.interval_at(c) == (symbols[k], fcuts[k], fcuts[k + 1])
         residual = min((c - fcuts[k]) / fwidths[k], top)
-        for cached in (False, True):
-            at, past = (
-                parallel_decode(ReadBack(dist.probs, cut, cached), [c]).entries[0]
-                for cut in (residual, math.nextafter(residual, 1.0))
-            )
-            # the renormalized code is >= residual and below the next float: it is residual
-            assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
-            assert at.logprob == logprobs[k] + math.log(1.0 - residual)
+        at, past = (
+            parallel_decode(ReadBack(dist.probs, cut), [c]).entries[0]
+            for cut in (residual, math.nextafter(residual, 1.0))
+        )
+        # the renormalized code is >= residual and below the next float: it is residual
+        assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
+        assert at.logprob == logprobs[k] + math.log(1.0 - residual)
 
     def test_cdf_built_only_where_codes_share_a_prefix(self):
         dists = {}
