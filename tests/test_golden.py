@@ -18,11 +18,16 @@ CASES = {
                             "--reference", "refs_markov.txt", "--seed", "3"],
     "variance_ancestral": ["variance", "--model", "markov.json", "--method", "ancestral", "--n", "4,16",
                            "--reps", "20", "--reference", "refs_markov.txt", "--seed", "3"],
+    # 1,680 decoded sequences with many repeats: pins the CLI's reward cache
+    "variance_ancestral_n64": ["variance", "--model", "markov.json", "--method", "ancestral", "--n", "4,16,64",
+                               "--reps", "20", "--reference", "refs_markov.txt", "--seed", "3"],
     "diversity_arithmetic": ["diversity", "--model", "markov.json", "--n", "8", "--temperature", "0.5,1.0",
                              "--reference", "refs_markov.txt", "--seed", "3"],
     "diversity_ancestral": ["diversity", "--model", "markov.json", "--method", "ancestral", "--n", "8",
                             "--temperature", "0.5,1.0", "--reference", "refs_markov.txt", "--seed", "3"],
     "oracle_check": ["oracle-check", "--model", "markov.json"],
+    "oracle_check_tabular": ["oracle-check", "--model", "tabular.json"],
+    "oracle_check_markov_n7": ["oracle-check", "--model", "markov.json", "--n", "7"],
     "sample_synthetic_uniform_workers2": ["sample", "--model", "synthetic.json", "--n", "32", "--seed", "5",
                                           "--lattice-mode", "uniform", "--workers", "2"],
     "stepfn_paper": ["stepfn", "--stepfn", "stepfn.txt", "--n", "1,2,3,5,16", "--lattice-mode", "paper",
