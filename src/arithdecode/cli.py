@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 input error, 2 property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 
 from . import evaluation, oracle
-from .codebook import LatticeSpec, UnitInterval
+from .codebook import LatticeSpec, UnitInterval, lattice_codes
 from .errors import (
     EnumerationBoundError,
     InputError,
@@ -72,6 +73,18 @@ def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
         raise InputError(f"{path}: {e}") from None
 
 
+def _bleu_reward(eos):
+    """BLEU of a decoded sequence, EOS stripped, against a reference, cached by
+    (tokens, reference): the score is a pure function of the tokens, and a
+    batch decodes many copies of a few sequences."""
+
+    @functools.cache
+    def reward(tokens, reference) -> float:
+        return evaluation.sentence_bleu(evaluation.strip_eos(tokens, eos), reference)
+
+    return reward
+
+
 def _write(args, lines: list[str]):
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -104,15 +117,14 @@ def cmd_diversity(args) -> int:
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
     eos = model.vocabulary.eos
+    bleu = _bleu_reward(eos)
     lines = ["method,temperature,n,mean_reward,min_reward,max_reward,ngram_diversity"]
     for t in args.temperature:
         chain = _chain(args, t)
         means, mins, maxes, divs = [], [], [], []
         for i, ref in enumerate(refs):
             ss = evaluation.draw(model, args.method, args.n, f"{seed}:{t}:{i}", chain, args.lattice_mode)
-            rewards = [
-                evaluation.sentence_bleu(evaluation.strip_eos(s, eos), ref) for s in ss.sequences()
-            ]
+            rewards = [bleu(s, ref) for s in ss.sequences()]
             means.append(sum(rewards) / len(rewards))
             mins.append(min(rewards))
             maxes.append(max(rewards))
@@ -130,10 +142,10 @@ def cmd_variance(args) -> int:
     model = load_model(args.model)
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
-    eos = model.vocabulary.eos
     target = refs[0]
     chain = _chain(args, args.temperature)
-    reward = lambda s: evaluation.sentence_bleu(evaluation.strip_eos(s, eos), target)
+    bleu = _bleu_reward(model.vocabulary.eos)
+    reward = lambda s: bleu(s, target)
     lines = ["method,n,mean,sd,p2_5,p97_5"]
     for n in args.n:
         rep = evaluation.estimator_sd(
@@ -197,7 +209,7 @@ def cmd_oracle_check(args) -> int:
     covers = cb.los[0] == 0 and cb.his[-1] == 1
     rows.append(("partition", widths_ok and covers, "0"))
 
-    codes = list(oracle.lattice_codes(LatticeSpec(101, "paper", Fraction(1, 7))))
+    codes = list(lattice_codes(LatticeSpec(101, "paper", Fraction(1, 7))))
     for lo, hi in zip(cb.los, cb.his):
         codes.append(lo)
         codes.append((lo + hi) / 2)

@@ -108,8 +108,8 @@ class Temperature:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ParameterError("temperature must be positive")
+        if not (0 < self.t < math.inf):  # NaN fails too
+            raise ParameterError(f"temperature must be positive and finite, not {self.t}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ def _renormalized(probs: list[Real]) -> CategoricalDistribution:
 
 def apply_temperature(dist: CategoricalDistribution, t: float) -> CategoricalDistribution:
     """Sharpen (t<1) or flatten (t>1) a distribution: p_i ∝ p_i^(1/t)."""
-    if t <= 0:
-        raise ParameterError("temperature must be positive")
+    if not (0 < t < math.inf):  # NaN fails too
+        raise ParameterError(f"temperature must be positive and finite, not {t}")
     if t == 1:
         return dist
     powered = [0.0 if p == 0 else float(p) ** (1.0 / t) for p in dist.probs]

@@ -3,20 +3,26 @@
 Everything here is rational arithmetic end to end: the joint is enumerated by
 depth-first search over prefixes, the codebook is materialized as explicit
 cumulative intervals in dictionary order, and expectations are exact sums.
-This is the independent twin of the per-step decoder, used to pin down every
-derived expected value in the test suite.
+The full-period sweep decodes every (shift, code) pair of a grid that refines
+all breakpoints as integers over one common denominator, then takes a single
+exact sum over the sequences hit.  This is the independent twin of the
+per-step decoder, used to pin down every derived expected value in the test
+suite.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .codebook import LatticeSpec, UnitInterval, lattice_codes
+from .codebook import UnitInterval
 from .errors import EnumerationBoundError, InvalidModelError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
@@ -138,6 +144,23 @@ def prefix_intervals(joint: ExactJoint) -> dict[Tokens, UnitInterval]:
     return {pre: UnitInterval(lo, hi) for pre, (lo, hi) in out.items()}
 
 
+def _grid_size(codebook: ExactCodebook, n: int, min_k: int, bound: int) -> int:
+    """Shifts m = K(n+1) of the full-period grid: a multiple of n+1 and of every
+    codebook endpoint denominator, with K >= min_k.  Raises
+    EnumerationBoundError when m exceeds `bound`."""
+    if n < 1:
+        raise ParameterError("lattice needs n >= 1")
+    denoms = [x.denominator for x in codebook.los + codebook.his]
+    period = math.lcm(n + 1, *denoms)
+    k = period // (n + 1)
+    if k < min_k:
+        k *= -(-min_k // k)  # ceil division
+    m = k * (n + 1)
+    if m > bound:
+        raise EnumerationBoundError(f"full-period shift grid has {m} shifts, more than {bound}")
+    return m
+
+
 def full_period_shift_grid(
     codebook: ExactCodebook, n: int, min_k: int = 10, bound: int = DEFAULT_BOUND
 ) -> list[Fraction]:
@@ -149,16 +172,7 @@ def full_period_shift_grid(
     therefore reproduces the continuous average exactly.  A grid of more
     than `bound` shifts raises EnumerationBoundError before it is built.
     """
-    if n < 1:
-        raise ParameterError("lattice needs n >= 1")
-    denoms = [x.denominator for x in codebook.los + codebook.his]
-    period = math.lcm(n + 1, *denoms)
-    k = period // (n + 1)
-    if k < min_k:
-        k *= -(-min_k // k)  # ceil division
-    m = k * (n + 1)
-    if m > bound:
-        raise EnumerationBoundError(f"full-period shift grid has {m} shifts, more than {bound}")
+    m = _grid_size(codebook, n, min_k, bound)
     return [Fraction(j, m) for j in range(m)]
 
 
@@ -170,13 +184,40 @@ def full_period_average(
     min_k: int = 10,
     bound: int = DEFAULT_BOUND,
 ) -> Fraction:
-    """Exact average over a full period of b of the lattice-sample mean reward."""
-    grid = full_period_shift_grid(codebook, n, min_k, bound)
-    total = Fraction(0)
-    for b in grid:
-        codes = lattice_codes(LatticeSpec(n, mode, b))
-        total += sum((Fraction(reward(codebook.decode(c))) for c in codes), Fraction(0)) / n
-    return total / len(grid)
+    """Exact average over a full period of b of the lattice-sample mean reward.
+
+    Sweeps the m shifts j/m of `full_period_shift_grid` without building it.
+    Every code of every shift is an integer numerator over one denominator,
+    m in paper mode and lcm(m, n) in uniform mode, and so is every codebook
+    lower bound, since D divides m.  Each code is decoded by bisecting those
+    integers; hits are counted per sequence, and `reward` is called once per
+    sequence hit.  Paper mode is exact because m refines every breakpoint.
+    In uniform mode n need not divide m, but the codes i/n + j/m together
+    form the 1/lcm(n, m) grid, each point hit gcd(n, m) times; that grid
+    refines the codebook too, so the average is again the exact integral.
+    """
+    m = _grid_size(codebook, n, min_k, bound)
+    if mode == "paper":  # code i/(n+1) + j/m, i = 1..n
+        den = m
+        starts = [i * (den // (n + 1)) for i in range(1, n + 1)]
+    elif mode == "uniform":  # code i/n + j/m, i = 0..n-1
+        den = math.lcm(m, n)
+        starts = [i * (den // n) for i in range(n)]
+    else:
+        raise ParameterError(f"unknown lattice mode {mode!r}")
+    step = den // m  # shift j/m adds j*step to every numerator
+    scale = den // codebook._den
+    decode = functools.partial(bisect.bisect_right, [num * scale for num in codebook._nums])
+    # numerators (a + j*step) mod den for j < m: the sorted runs above and below the wrap
+    codes = itertools.chain.from_iterable(
+        run for a in starts for run in (range(a, den, step), range(a % step, a, step))
+    )
+    hits = Counter(map(decode, codes))  # keyed by sequence index + 1
+    total = sum(
+        (count * Fraction(reward(codebook.sequences[k - 1])) for k, count in sorted(hits.items())),
+        Fraction(0),
+    )
+    return total / (n * m)
 
 
 def write_oracle_csv(joint: ExactJoint, model: SequenceModel, path: str):

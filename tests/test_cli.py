@@ -242,11 +242,19 @@ def one_error_line(capsys) -> str:
         (["diversity", "--method", "ancestral", "--workers", "0"], None),
         (["variance", "--workers", "0"], None),
         (["variance", "--method", "ancestral", "--workers", "-1"], None),
+        (["sample", "--temperature", "nan"], None),
+        (["sample", "--temperature", "inf"], None),
+        (["diversity", "--temperature", "nan"], None),
+        (["diversity", "--temperature", "inf"], None),
+        (["variance", "--temperature", "nan"], None),
+        (["variance", "--temperature", "inf"], None),
     ],
     ids=[
         "stepfn-non-numeric", "stepfn-zero-denominator", "stepfn-n0", "stepfn-n-2",
         "oracle-n-1", "oracle-n-3", "oracle-n0", "sample-workers0", "sample-ancestral-workers0",
         "diversity-ancestral-workers0", "variance-workers0", "variance-ancestral-workers-1",
+        "sample-temperature-nan", "sample-temperature-inf", "diversity-temperature-nan",
+        "diversity-temperature-inf", "variance-temperature-nan", "variance-temperature-inf",
     ],
 )
 def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys):
@@ -262,6 +270,8 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
     line = one_error_line(capsys)
     if "--workers" in command:
         assert line == "error: worker_count must be >= 1"
+    if "--temperature" in command:
+        assert line == f"error: temperature must be positive and finite, not {command[2]}"
 
 
 @pytest.mark.parametrize(

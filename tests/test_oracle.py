@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from arithdecode.errors import EnumerationBoundError
 from arithdecode.models import TabularModel, Vocabulary
 from arithdecode.oracle import full_period_average, full_period_shift_grid, write_oracle_csv
 from arithdecode.sampler import code_interval_of_sequence
-from util import bernoulli_model, deterministic_model, random_markov_model, random_tabular_model
+from util import (
+    all_complete_sequences,
+    bernoulli_model,
+    deterministic_model,
+    random_markov_model,
+    random_tabular_model,
+)
 
 F = Fraction
 
@@ -155,6 +162,70 @@ class TestUnbiasedness:
         assert reward(cb.decode(F(1, 2))) == 1
         assert exact_expectation(joint, reward) == F(3, 5)
         assert full_period_average(cb, 1, reward) == F(3, 5)
+
+
+def reference_sweep(cb, n, rewards, mode):
+    """The full-period average as a plain Fraction loop: one LatticeSpec per
+    shift of the grid, every code decoded and scored, for each reward."""
+    grid = full_period_shift_grid(cb, n)
+    totals = [F(0)] * len(rewards)
+    for b in grid:
+        seqs = [cb.decode(c) for c in lattice_codes(LatticeSpec(n, mode, b))]
+        for r, reward in enumerate(rewards):
+            totals[r] += sum((F(reward(s)) for s in seqs), F(0)) / n
+    return [t / len(grid) for t in totals]
+
+
+def tabular_with_denominator(rng, denom):
+    """Random joint over V=3, L=2 with EOS whose probabilities are k/denom."""
+    seqs = all_complete_sequences(3, 2, 2)
+    counts = Counter(rng.choice(seqs) for _ in range(denom))
+    return TabularModel({s: F(c, denom) for s, c in counts.items()}, Vocabulary(("a", "b", "e"), eos=2), 2)
+
+
+SWEEP_MODELS = {
+    "markov": lambda rng, d: random_markov_model(rng, vocab_size=3, max_length=2, denom=d),
+    "tabular": tabular_with_denominator,
+}
+SWEEP_REWARDS = (
+    lambda s: F(int(s[0] == 0)),
+    lambda s: F(len(s), 1 + sum(s)),
+    lambda s: 0.1 * len(s) + 0.01 * s[-1],  # a float reward, converted exactly
+)
+
+
+class TestIntegerSweep:
+    @pytest.mark.parametrize("mode", ["paper", "uniform"])
+    @pytest.mark.parametrize("denom", [5, 6, 7, 10])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_MODELS))
+    def test_matches_reference_sweep(self, kind, denom, mode):
+        cb = exact_codebook(enumerate_joint(SWEEP_MODELS[kind](random.Random(denom), denom)))
+        for n in range(1, 8):
+            expected = reference_sweep(cb, n, SWEEP_REWARDS, mode)
+            assert [full_period_average(cb, n, r, mode) for r in SWEEP_REWARDS] == expected
+
+    @pytest.mark.parametrize("mode", ["paper", "uniform"])
+    def test_reward_called_at_most_once_per_sequence(self, mode):
+        cb = exact_codebook(enumerate_joint(random_markov_model(random.Random(3), denom=6)))
+        calls = Counter()
+
+        def reward(s):
+            calls[s] += 1
+            return F(int(s[0] == 1))
+
+        full_period_average(cb, 5, reward, mode)
+        assert set(calls) <= set(cb.sequences)
+        assert max(calls.values()) == 1
+
+    def test_bound_raises_before_any_reward(self):
+        cb = exact_codebook(enumerate_joint(random_markov_model(random.Random(5), denom=7)))
+        m = len(full_period_shift_grid(cb, 4))
+        calls = []
+        reward = lambda s: calls.append(s) or F(1)
+        with pytest.raises(EnumerationBoundError):
+            full_period_average(cb, 4, reward, bound=m - 1)
+        assert calls == []
+        assert full_period_average(cb, 4, reward, bound=m) == 1
 
 
 class TestConsistency:
