@@ -44,6 +44,12 @@ LONE = ["sample", "--model", "synthetic_v8.json", "--n", "256", "--seed", "7"]
 CASES["sample_synthetic_v8_arithmetic"] = LONE
 CASES["sample_synthetic_v8_ancestral"] = LONE + ["--method", "ancestral"]
 CASES["sample_synthetic_v8_arithmetic_chain"] = LONE + ["--temperature", "0.7", "--nucleus-p", "0.9"]
+# V=16 (more than one digest block per step), EOS on a float model, and a
+# modified float distribution through the CLI.
+EOS16 = ["sample", "--model", "synthetic_v16_eos.json", "--n", "256", "--seed", "11"]
+CASES["sample_synthetic_v16_eos_arithmetic"] = EOS16
+CASES["sample_synthetic_v16_eos_ancestral"] = EOS16 + ["--method", "ancestral"]
+CASES["sample_synthetic_v16_eos_arithmetic_chain"] = EOS16 + ["--temperature", "0.7", "--top-k", "5"]
 
 
 def resolve(argv: list[str]) -> list[str]:
