@@ -7,6 +7,13 @@ number in [0,1) in one of two representations: "fast" (64-bit float) or
 feeding Fractions in keeps everything exact, feeding floats uses ordinary
 binary arithmetic with a final clamp so drift never leaves a code
 un-locatable.
+
+`CategoricalDistribution.split` is the decoder's one step: it locates a sorted
+run of codes and renormalizes each into its symbol's interval.  A float
+distribution merges the run with its cuts in one pass that stops at the first
+cut above the last code, and builds no CDF.  An exact one bisects its cached
+CDF: a float code on the float cuts, compared with the exact cut only when it
+equals one, and a Fraction code on the exact cuts, so it stays exact.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ class CategoricalDistribution:
 
     def _cuts(self) -> Iterator[tuple[Optional[int], Real]]:
         """(symbol, lower cut) for each symbol that owns an interval, in order,
-        then (None, 1): the one partition rule, read by `cdf` and `interval_at`.
+        then (None, 1): the one partition rule, read by `cdf` and `split`.
 
         A symbol's upper cut is min(lo + p, 1); a zero-probability symbol, or a
         float one too small to move its lower cut, owns no interval.  The last
@@ -122,14 +129,42 @@ class CategoricalDistribution:
         logprobs = (math.log(self.probs[idx]) for idx in symbols)
         return CDF(symbols, cuts, tuple(map(float, cuts)), tuple(widths), tuple(logprobs))
 
-    def interval_at(self, c: Real) -> tuple[int, float, float]:
-        """The symbol of a float distribution whose interval holds c in [0, 1),
-        with its lower and upper cut: the floats `cdf` holds, read by a scan
-        that stops at the first cut above c, so no CDF is built."""
-        for idx, lo in self._cuts():
-            if lo > c:
-                return found, below, lo
-            found, below = idx, lo
+    def split(self, run: list[tuple[int, Real]]) -> list[tuple[int, float, list[tuple[int, Real]]]]:
+        """One decode step for (input index, code) pairs sorted by code, as
+        [(symbol, log-probability, [(input index, renormalized code)])] in symbol order."""
+        out: list = []
+        if not self.is_exact:  # one merge pass over the cuts, no CDF built
+            cuts = self._cuts()
+            k, lo = next(cuts)
+            above, hi = next(cuts)
+            for i, c in run:
+                if c >= hi or not out:
+                    while c >= hi:
+                        k, lo = above, hi
+                        above, hi = next(cuts)
+                    out.append((k, math.log(self.probs[k]), []))
+                out[-1][2].append((i, _rescale(c, lo, hi - lo)))
+            return out
+        symbols, cuts, fcuts, fwidths, logprobs = self.cdf
+        for i, c in run:
+            if isinstance(c, float):
+                k = bisect.bisect_right(fcuts, c) - 1
+                if c == fcuts[k]:  # the float cut may sit on c while the exact cut lies above it
+                    k = bisect.bisect_right(cuts, c) - 1
+                c = _rescale(c, fcuts[k], fwidths[k])
+            else:
+                k = bisect.bisect_right(cuts, c) - 1
+                c = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
+            if not out or out[-1][0] != symbols[k]:
+                out.append((symbols[k], logprobs[k], []))
+            out[-1][2].append((i, c))
+        return out
+
+
+def _rescale(c: Real, lo: Real, width: Real) -> Real:
+    """(c - lo) / width, kept below 1 against float rounding at the top edge."""
+    out = (c - lo) / width
+    return out if out < 1.0 else math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -179,10 +214,7 @@ def renormalize(c: Real, interval: UnitInterval) -> Real:
         raise ContractViolationError(f"code {c} outside [{interval.lo}, {interval.hi})")
     if is_exact(c) and is_exact(interval.lo) and is_exact(interval.hi):
         return Fraction(c - interval.lo) / Fraction(interval.width)
-    out = (c - interval.lo) / interval.width
-    if out >= 1.0:  # float rounding at the top edge
-        out = math.nextafter(1.0, 0.0)
-    return out
+    return _rescale(c, interval.lo, interval.width)
 
 
 def shift_mod1(c: Real, b: Real) -> Real:

@@ -146,13 +146,12 @@ def prefix_intervals(joint: ExactJoint) -> dict[Tokens, UnitInterval]:
 
 def _grid_size(codebook: ExactCodebook, n: int, min_k: int, bound: int) -> int:
     """Shifts m = K(n+1) of the full-period grid: a multiple of n+1 and of every
-    codebook endpoint denominator, with K >= min_k.  Raises
+    codebook endpoint denominator (each upper bound is the next lower bound or
+    1, so the lower bounds' one denominator serves), with K >= min_k.  Raises
     EnumerationBoundError when m exceeds `bound`."""
     if n < 1:
         raise ParameterError("lattice needs n >= 1")
-    denoms = [x.denominator for x in codebook.los + codebook.his]
-    period = math.lcm(n + 1, *denoms)
-    k = period // (n + 1)
+    k = math.lcm(n + 1, codebook._den) // (n + 1)
     if k < min_k:
         k *= -(-min_k // k)  # ceil division
     m = k * (n + 1)

@@ -7,28 +7,18 @@ keeps the whole decode exact; floats give the fast path, which keeps ~52 bits
 of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
 
-Each distribution builds its CDF once (`CategoricalDistribution.cdf`), so a
-Markov row or a memoised tabular conditional is partitioned once per process.
-A float code is located by bisecting the float cut points; only a code equal to
-a float cut is compared with the exact cut, so on an exact model it picks the
-symbol the exact comparison picks.  `code_interval_of_sequence`, the inverse
-map, narrows on the same cut points, so encode and decode share one partition.
+Each step is one `CategoricalDistribution.split` (see `codebook`).
+`code_interval_of_sequence`, the inverse map, narrows on the same cut points
+in `Fraction` arithmetic, so encode and decode share one partition.
 
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
 sorted code set, so the walk sorts the codes, then expands each distinct
-prefix once: one modified conditional per prefix, one bisect and one
-renormalization per code under it.  The log-probability is summed on the way
-down in the same order as `sequence_logprob`, so every code sees exactly the
-float operations of its own step-by-step decode and the results are
-bit-identical to it.  decode_code is the one-code case of the same walk.
-
-On long sequences almost every prefix past the first few tokens holds one
-code.  A lone code on a float distribution is located by
-`CategoricalDistribution.interval_at`, a scan of the cuts `cdf` would build
-that stops at the first cut above the code; no CDF is built, and the cut,
-width and log-probability are the floats the bisect would have read.
-Exact distributions bisect.
+prefix once: one modified conditional and one `split` per prefix.  The
+log-probability is summed on the way down in the same order as
+`sequence_logprob`, so every code sees exactly the float operations of its own
+step-by-step decode and the results are bit-identical to it.  decode_code is
+the one-code case of the same walk.
 
 Arithmetic sampling decodes a shifted lattice of codes; ancestral sampling
 decodes i.i.d. uniform codes, so both methods share one code path.
@@ -36,9 +26,8 @@ decodes i.i.d. uniform codes, so both methods share one code path.
 
 from __future__ import annotations
 
-import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -85,32 +74,9 @@ def _walk(
             for i, _ in run:
                 seqs[i], logprobs[i] = tokens, logprob
             continue
-        dist = conditional_modified(model, tokens, chain)
-        if len(run) == 1 and not dist.is_exact:  # a lone float code builds no CDF
-            [(i, c)] = run
-            k, lo, hi = dist.interval_at(c)
-            c = (c - lo) / (hi - lo)
-            if c >= 1.0:  # float rounding at the top edge
-                c = math.nextafter(1.0, 0.0)
-            stack.append((tokens + (k,), logprob + math.log(dist.probs[k]), [(i, c)]))
-            continue
-        symbols, cuts, fcuts, fwidths, symbol_logprobs = dist.cdf
-        children: dict[int, list] = {}
-        for i, c in run:
-            if isinstance(c, float) or not dist.is_exact:
-                k = bisect_right(fcuts, c) - 1
-                if c == fcuts[k]:  # the float cut may sit on c while the exact cut lies above it
-                    k = bisect_right(cuts, c) - 1
-                c = (c - fcuts[k]) / fwidths[k]
-                if c >= 1.0:  # float rounding at the top edge
-                    c = math.nextafter(1.0, 0.0)
-            else:  # an exact code on exact cuts stays exact
-                k = bisect_right(cuts, c) - 1
-                c = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
-            children.setdefault(k, []).append((i, c))
         # Pushed in reverse so the lowest symbol is expanded first.
-        for k in sorted(children, reverse=True):
-            stack.append((tokens + (symbols[k],), logprob + symbol_logprobs[k], children[k]))
+        for k, symbol_logprob, kids in reversed(conditional_modified(model, tokens, chain).split(run)):
+            stack.append((tokens + (k,), logprob + symbol_logprob, kids))
     return seqs, logprobs
 
 

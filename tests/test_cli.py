@@ -218,6 +218,11 @@ class TestOracleCheck:
         assert time.perf_counter() - start < 1.0
         assert "shift grid" in one_error_line(capsys)
 
+    def test_sweep_runs_at_the_given_n(self, model_file, capsys):
+        # lcm(21, 25) = 525 shifts at n = 20; n = 16 would sweep 425
+        assert run(["oracle-check", "--model", model_file(BERNOULLI), "--n", "20", "--bound", "500"]) == 1
+        assert one_error_line(capsys) == "error: full-period shift grid has 525 shifts, more than 500"
+
 
 def one_error_line(capsys) -> str:
     """The single stderr line of a failed command, checked to be an error line."""
@@ -248,6 +253,10 @@ def one_error_line(capsys) -> str:
         (["diversity", "--temperature", "inf"], None),
         (["variance", "--temperature", "nan"], None),
         (["variance", "--temperature", "inf"], None),
+        (["variance", "--n", "4,,16"], None),
+        (["sample", "--n", "abc"], None),
+        (["sample", "--bogus"], None),
+        (["sample", "--method", "beam"], None),
     ],
     ids=[
         "stepfn-non-numeric", "stepfn-zero-denominator", "stepfn-n0", "stepfn-n-2",
@@ -255,6 +264,8 @@ def one_error_line(capsys) -> str:
         "diversity-ancestral-workers0", "variance-workers0", "variance-ancestral-workers-1",
         "sample-temperature-nan", "sample-temperature-inf", "diversity-temperature-nan",
         "diversity-temperature-inf", "variance-temperature-nan", "variance-temperature-inf",
+        "usage-variance-n-empty-item", "usage-sample-n-not-int", "usage-sample-unknown-option",
+        "usage-sample-unknown-method",
     ],
 )
 def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys):
@@ -272,6 +283,12 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
         assert line == "error: worker_count must be >= 1"
     if "--temperature" in command:
         assert line == f"error: temperature must be positive and finite, not {command[2]}"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sample", "--help"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: arithdecode sample")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithdecode import (
@@ -383,30 +383,61 @@ def float_dists(draw):
     return CategoricalDistribution(tuple(p / total * scale for p in raw))
 
 
-class TestLoneCodeScan:
-    """A lone float code on a float distribution is located by a scan; it must
-    agree bit for bit with bisecting the distribution's CDF."""
+@st.composite
+def exact_dists(draw):
+    """Fraction rows of two or more symbols whose cuts mostly have no exact float."""
+    den = draw(st.sampled_from([3, 7, 10, 12]))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=1, max_size=5)))
+    return CategoricalDistribution(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
 
-    @given(float_dists(), st.data())
+
+@st.composite
+def dists_and_codes(draw):
+    """A float or exact row and 1-6 codes: floats and Fractions, on and just
+    below its cuts, 0.0 and nextafter(1, 0), with repeats."""
+    dist = draw(st.one_of(float_dists(), exact_dists()))
+    _, cuts, fcuts = dist.cdf[:3]
+    below_cuts = tuple(math.nextafter(cut, 0.0) for cut in fcuts[1:])
+    code = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(fcuts[:-1] + cuts[:-1] + below_cuts))
+    codes = draw(st.lists(st.tuples(code, st.booleans()), min_size=1, max_size=6))
+    return dist, [F(c) if exact else c for c, exact in codes]
+
+
+class TestSplit:
+    """`CategoricalDistribution.split` must agree bit for bit with locating each
+    code in the distribution's CDF by the exact comparison and renormalizing it
+    on the cut points `cdf` holds."""
+
+    @given(dists_and_codes())
+    # (c - 0.3) / (0.8999999999999999 - 0.3) rounds to 1 one float below the cut
+    @example((CategoricalDistribution((0.3, 0.6, 0.1)), [0.8999999999999998]))
     @settings(max_examples=300, deadline=None)
-    def test_scan_matches_cached_cdf(self, dist, data):
-        symbols, _, fcuts, fwidths, logprobs = dist.cdf
+    def test_split_matches_cached_cdf(self, dist_codes):
+        dist, codes = dist_codes
+        symbols, cuts, fcuts, fwidths, logprobs = dist.cdf
         top = math.nextafter(1.0, 0.0)
-        c = data.draw(st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(fcuts[:-1] + (0.0, top))))
-        if data.draw(st.booleans()):
-            c = F(c)
-        k = bisect_right(fcuts, c) - 1
-        assert dist.interval_at(c) == (symbols[k], fcuts[k], fcuts[k + 1])
-        residual = min((c - fcuts[k]) / fwidths[k], top)
-        at, past = (
-            parallel_decode(ReadBack(dist.probs, cut), [c]).entries[0]
-            for cut in (residual, math.nextafter(residual, 1.0))
-        )
-        # the renormalized code is >= residual and below the next float: it is residual
-        assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
-        assert at.logprob == logprobs[k] + math.log(1.0 - residual)
+        run = sorted(enumerate(codes), key=lambda ic: ic[1])
+        expected = []
+        for i, c in run:
+            k = bisect_right(cuts, c) - 1
+            if isinstance(c, float) or not dist.is_exact:
+                residual = min((c - fcuts[k]) / fwidths[k], top)
+            else:
+                residual = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
+            if not expected or expected[-1][0] != symbols[k]:
+                expected.append((symbols[k], logprobs[k], []))
+            expected[-1][2].append((i, residual))
+            if isinstance(residual, float):
+                at, past = (
+                    parallel_decode(ReadBack(dist.probs, cut), [c]).entries[0]
+                    for cut in (residual, math.nextafter(residual, 1.0))
+                )
+                # the renormalized code is >= residual and below the next float: it is residual
+                assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
+                assert at.logprob == logprobs[k] + math.log(1.0 - residual)
+        assert repr(dist.split(run)) == repr(expected)
 
-    def test_cdf_built_only_where_codes_share_a_prefix(self):
+    def test_float_distributions_build_no_cdf(self):
         dists = {}
 
         class Recording(SyntheticLM):
@@ -416,9 +447,8 @@ class TestLoneCodeScan:
 
         m = Recording(0, 8, 32)
         seqs = arithmetic_sample(m, LatticeSpec(256, "paper", random.Random(0).random())).sequences()
-        codes_under = Counter(s[:d] for s in seqs for d in range(len(s)))
-        assert dists.keys() == codes_under.keys()
-        assert {p for p, d in dists.items() if "cdf" in vars(d)} == {p for p, n in codes_under.items() if n >= 2}
+        assert dists.keys() == {s[:d] for s in seqs for d in range(len(s))}
+        assert not [p for p, d in dists.items() if "cdf" in vars(d)]
 
 
 class TestDistributionalProperties:
