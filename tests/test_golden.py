@@ -50,6 +50,11 @@ EOS16 = ["sample", "--model", "synthetic_v16_eos.json", "--n", "256", "--seed", 
 CASES["sample_synthetic_v16_eos_arithmetic"] = EOS16
 CASES["sample_synthetic_v16_eos_ancestral"] = EOS16 + ["--method", "ancestral"]
 CASES["sample_synthetic_v16_eos_arithmetic_chain"] = EOS16 + ["--temperature", "0.7", "--top-k", "5"]
+# BLEU and n-gram diversity on a float model, with EOS stripped from every hypothesis.
+for method in ("arithmetic", "ancestral"):
+    CASES[f"diversity_synthetic_v16_eos_{method}"] = [
+        "diversity", "--model", "synthetic_v16_eos.json", "--method", method, "--n", "64",
+        "--temperature", "0.5,1.0", "--reference", "refs_synthetic_v16_eos.txt", "--seed", "11"]
 
 
 def resolve(argv: list[str]) -> list[str]:
