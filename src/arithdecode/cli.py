@@ -14,7 +14,6 @@ one `error:` line), 2 property failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
@@ -75,11 +74,10 @@ def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
 
 
 def _bleu_reward(eos):
-    """BLEU of a decoded sequence, EOS stripped, against a reference, cached by
-    (tokens, reference): the score is a pure function of the tokens, and a
-    batch decodes many copies of a few sequences."""
+    """BLEU of a decoded sequence, EOS stripped, against a reference.
+    `evaluation.sentence_bleu` scores each distinct pair once, so the many
+    copies of a few sequences in a batch cost one score each."""
 
-    @functools.cache
     def reward(tokens, reference) -> float:
         return evaluation.sentence_bleu(evaluation.strip_eos(tokens, eos), reference)
 
@@ -240,12 +238,19 @@ def cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _comma_list(text: str, kind, noun: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, not {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    return _comma_list(text, float, "numbers")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,8 +13,10 @@ or starting the CLI does not pay for it.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -233,29 +235,41 @@ def ngram_diversity(
     """d = sum over n of (unique n-grams across the set / total n-grams).
 
     n-grams are over token indices with EOS stripped; an n with no n-grams at
-    all contributes 0.
+    all contributes 0.  Each distinct sequence is stripped and scanned once,
+    and its n-grams count once per copy in the total.
     """
     if not sequences:
         raise ParameterError("empty sequence list")
-    stripped = [strip_eos(s, eos) for s in sequences]
+    if max_n < 1:
+        raise ParameterError(f"max_n must be >= 1, not {max_n}")
+    counts = [(strip_eos(s, eos), k) for s, k in Counter(map(tuple, sequences)).items()]
     d = 0.0
     for n in range(1, max_n + 1):
-        grams: list[tuple[int, ...]] = []
-        for s in stripped:
-            grams.extend(_ngrams(s, n))
-        if grams:
-            d += len(set(grams)) / len(grams)
+        total = sum(k * max(0, len(s) - n + 1) for s, k in counts)
+        if total:
+            d += len({g for s, _ in counts for g in _ngrams(s, n)}) / total
     return d
 
 
 def sentence_bleu(
     hypothesis: Sequence[int], reference: Sequence[int], max_n: int = 4
 ) -> float:
-    """Add-one-smoothed sentence BLEU with exponential brevity penalty, in [0, 1]."""
-    if not reference:
-        raise ParameterError("empty reference")
+    """Add-one-smoothed sentence BLEU with exponential brevity penalty, in [0, 1].
+
+    Scores are cached by (hypothesis, reference, max_n), so a batch that
+    decodes many copies of a few sequences scores each distinct pair once.
+    """
     hyp = tuple(hypothesis)
     ref = tuple(reference)
+    if not ref:
+        raise ParameterError("empty reference")
+    if max_n < 1:
+        raise ParameterError(f"max_n must be >= 1, not {max_n}")
+    return _bleu(hyp, ref, max_n)
+
+
+@functools.lru_cache(maxsize=4096)
+def _bleu(hyp: Tokens, ref: Tokens, max_n: int) -> float:
     if not hyp:
         return 0.0
     log_prec = 0.0

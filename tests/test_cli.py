@@ -285,6 +285,20 @@ def test_bad_input_is_one_error_line(command, text, model_file, tmp_path, capsys
         assert line == f"error: temperature must be positive and finite, not {command[2]}"
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        (["variance", "--n", "4,,16"], "error: argument --n: expected comma-separated integers, not '4,,16'"),
+        (["diversity", "--temperature", "0.5,,1"],
+         "error: argument --temperature: expected comma-separated numbers, not '0.5,,1'"),
+    ],
+)
+def test_bad_comma_list_message(command, line, model_file, tmp_path, capsys):
+    (tmp_path / "refs.txt").write_text("A B\n")
+    assert run(command + ["--model", model_file(BERNOULLI), "--reference", str(tmp_path / "refs.txt")]) == 1
+    assert one_error_line(capsys) == line
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["sample", "--help"])

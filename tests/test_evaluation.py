@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arithdecode import (
     LatticeSpec,
@@ -214,6 +216,34 @@ class TestNgramDiversity:
     def test_eos_excluded(self):
         assert ngram_diversity([(0, 2), (1, 2)], max_n=1, eos=2) == 1.0
 
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_rejected(self, max_n):
+        with pytest.raises(ParameterError):
+            ngram_diversity([(0, 1)], max_n=max_n)
+
+    @given(
+        st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        st.sampled_from([None, 0, 3]),
+        st.integers(1, 6),
+    )
+    def test_matches_list_based_formula(self, pool, picks, eos, max_n):
+        """Batches with repeats, list-typed sequences: the same float as one
+        list of n-grams per n over every entry."""
+
+        def reference(sequences):
+            stripped = [[t for t in s if t != eos] if eos is not None else list(s) for s in sequences]
+            d = 0.0
+            for n in range(1, max_n + 1):
+                grams = [tuple(s[i : i + n]) for s in stripped for i in range(len(s) - n + 1)]
+                if grams:
+                    d += len(set(grams)) / len(grams)
+            return d
+
+        batch = [pool[i % len(pool)] for i in picks]
+        assert ngram_diversity(batch, max_n, eos) == reference(batch)
+        assert ngram_diversity([tuple(s) for s in batch], max_n, eos) == reference(batch)
+
 
 class TestSentenceBleu:
     def test_identity_is_maximal(self):
@@ -246,7 +276,11 @@ class TestSentenceBleu:
             hyp = tuple(rng.randrange(3) for _ in range(rng.randint(1, 9)))
             ref = tuple(rng.randrange(3) for _ in range(rng.randint(1, 9)))
             max_n = rng.randint(1, 6)
-            assert sentence_bleu(hyp, ref, max_n) == reference(hyp, ref, max_n)
+            expected = reference(hyp, ref, max_n)
+            # the second call and the list call are answered from the cache
+            assert sentence_bleu(hyp, ref, max_n) == expected
+            assert sentence_bleu(hyp, ref, max_n) == expected
+            assert sentence_bleu(list(hyp), list(ref), max_n) == expected
 
     def test_repeated_ngrams_are_clipped(self):
         # three (0, 0) bigrams in the hypothesis, one in the reference
@@ -256,6 +290,18 @@ class TestSentenceBleu:
 
     def test_empty_hypothesis(self):
         assert sentence_bleu((), (1, 2)) == 0.0
+
+    def test_empty_reference_rejected_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                sentence_bleu((1, 2), ())
+            with pytest.raises(ParameterError):
+                sentence_bleu([1, 2], [])
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_rejected(self, max_n):
+        with pytest.raises(ParameterError):
+            sentence_bleu((1,), (1,), max_n=max_n)
 
     def test_permutation_symmetry(self):
         hyp, ref = (0, 1, 1, 2), (0, 2, 1, 0)

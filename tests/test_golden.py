@@ -18,7 +18,7 @@ CASES = {
                             "--reference", "refs_markov.txt", "--seed", "3"],
     "variance_ancestral": ["variance", "--model", "markov.json", "--method", "ancestral", "--n", "4,16",
                            "--reps", "20", "--reference", "refs_markov.txt", "--seed", "3"],
-    # 1,680 decoded sequences with many repeats: pins the CLI's reward cache
+    # 1,680 decoded sequences with many repeats: pins BLEU scores served from the cache
     "variance_ancestral_n64": ["variance", "--model", "markov.json", "--method", "ancestral", "--n", "4,16,64",
                                "--reps", "20", "--reference", "refs_markov.txt", "--seed", "3"],
     "diversity_arithmetic": ["diversity", "--model", "markov.json", "--n", "8", "--temperature", "0.5,1.0",
