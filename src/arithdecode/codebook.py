@@ -97,6 +97,13 @@ class CategoricalDistribution:
         elif not (abs(total - 1.0) <= FAST_SUM_TOL):  # NaN fails this test too
             raise InvalidDistributionError(f"probabilities sum to {total!r}")
 
+    @classmethod
+    def _normalized(cls, probs: tuple[float, ...]) -> CategoricalDistribution:
+        """A float distribution the caller has just normalized, built without the checks."""
+        dist = object.__new__(cls)
+        vars(dist).update(probs=probs, is_exact=False)
+        return dist
+
     def __len__(self) -> int:
         return len(self.probs)
 

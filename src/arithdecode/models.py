@@ -1,10 +1,15 @@
 """Sequence models over an ordered vocabulary, plus logit-modifier transforms.
 
 A model exposes conditional distributions over the next token given a prefix.
+A decoder that walks down the prefix trie may also carry a per-prefix model
+state (`start`, `advance`, `conditional_at`), so a child's conditional extends
+its parent's work, as a Transformer extends its per-beam KV cache.  By default
+the state is the prefix itself and `conditional_at` asks `conditional`.
+
 Reference implementations: a tabular model backed by an explicit joint table,
 a Markov model with fixed-order transition rows, and a seeded synthetic LM
-whose conditionals are a stateless keyed hash of the prefix (so they are
-bit-reproducible and safe to evaluate from many workers at once).
+whose conditionals are a keyed hash of the prefix (so they are
+bit-reproducible); its state is the hash that has absorbed the prefix so far.
 
 Tabular and Markov models carry Fraction probabilities sourced from decimal
 strings, so every downstream computation can stay exact.  The synthetic LM is
@@ -81,6 +86,19 @@ class SequenceModel(ABC):
     def conditional(self, prefix: Tokens) -> CategoricalDistribution:
         """Distribution of the next token given `prefix` (prefix not complete)."""
 
+    def start(self):
+        """The state of the empty prefix."""
+        return ()
+
+    def advance(self, state, prefix: Tokens, token: int):
+        """The state of `prefix + (token,)` from the state of `prefix`; `state`
+        may be shared by siblings, so it must not be changed."""
+        return prefix + (token,)
+
+    def conditional_at(self, state, prefix: Tokens) -> CategoricalDistribution:
+        """`conditional(prefix)` bit for bit, read from the state of an incomplete `prefix`."""
+        return self.conditional(prefix)
+
     def is_complete(self, tokens: Tokens) -> bool:
         if not tokens:
             return False
@@ -148,6 +166,10 @@ def apply_temperature(dist: CategoricalDistribution, t: float) -> CategoricalDis
     if t == 1:
         return dist
     powered = [0.0 if p == 0 else float(p) ** (1.0 / t) for p in dist.probs]
+    if sum(powered) == 0:  # every term underflowed: divide by the mode first, which keeps it
+        logs = [math.log(p) if p else -math.inf for p in map(float, dist.probs)]
+        top = max(logs)
+        powered = [math.exp((x - top) / t) for x in logs]
     return _renormalized(powered)
 
 
@@ -190,12 +212,16 @@ def apply_modifier(dist: CategoricalDistribution, mod: Modifier) -> CategoricalD
 
 
 def conditional_modified(
-    model: SequenceModel, prefix: Tokens, chain: ModifierChain | None
+    model: SequenceModel, prefix: Tokens, chain: ModifierChain | None, state=None
 ) -> CategoricalDistribution:
-    """The model conditional with the modifier chain applied left to right."""
-    if model.is_complete(prefix):
+    """The model conditional with the modifier chain applied left to right; given
+    the model's `state` for `prefix`, read through `conditional_at` (prefix not complete)."""
+    if state is not None:
+        dist = model.conditional_at(state, prefix)
+    elif model.is_complete(prefix):
         raise InvalidPrefixError(f"prefix {prefix} is already complete")
-    dist = model.conditional(prefix)
+    else:
+        dist = model.conditional(prefix)
     for mod in chain or ():
         dist = apply_modifier(dist, mod)
     return dist
@@ -295,11 +321,15 @@ class MarkovModel(SequenceModel):
 class SyntheticLM(SequenceModel):
     """Deterministic pseudo-random model keyed by (seed, prefix).
 
-    Per-prefix uniforms come from a blake2b hash, eight bytes per symbol
-    (past eight symbols, from counter-salted 64-byte blocks); raising them to
-    the `peakedness` power concentrates mass on few continuations, mimicking a
-    low-temperature neural model.  Identical seeds give bit-identical
-    conditionals; there is no mutable state.
+    Per-prefix uniforms come from a blake2b hash of `"{seed}|{prefix}"`, the
+    tokens joined by ',', eight bytes per symbol (past eight symbols, from
+    counter-salted 64-byte blocks); raising them to the `peakedness` power
+    concentrates mass on few continuations, mimicking a low-temperature
+    neural model.  Identical seeds give bit-identical conditionals.
+
+    The state of a prefix is a tuple of blake2b objects, one per block, that
+    have absorbed its key so far; `advance` copies them before absorbing the
+    next token, so a step hashes one token, not the whole prefix.
     """
 
     def __init__(
@@ -319,26 +349,43 @@ class SyntheticLM(SequenceModel):
         self.vocabulary = Vocabulary(tuple(f"t{i}" for i in range(vocab_size)), eos=eos)
         self.max_length = max_length
 
+    def _absorb(self, key: bytes) -> tuple:
+        """Fresh blake2b objects, one per block of eight symbols, that have absorbed `key`."""
+        size = len(self.vocabulary)
+        if size <= 8:
+            return (hashlib.blake2b(key, digest_size=8 * size),)
+        # blake2b digests stop at 64 bytes: chain blocks salted by a counter
+        return tuple(
+            hashlib.blake2b(key, digest_size=64, salt=block.to_bytes(16, "big"))
+            for block in range((size + 7) // 8)
+        )
+
+    def start(self) -> tuple:
+        return self._absorb(f"{self.seed}|".encode())
+
+    def advance(self, state: tuple, prefix: Tokens, token: int) -> tuple:
+        data = f",{token}".encode() if prefix else str(token).encode()
+        out = tuple(h.copy() for h in state)
+        for h in out:
+            h.update(data)
+        return out
+
     def conditional(self, prefix: Tokens) -> CategoricalDistribution:
         prefix = tuple(prefix)
         if self.is_complete(prefix):
             raise InvalidPrefixError(f"prefix {prefix} is complete")
+        return self.conditional_at(self._absorb(f"{self.seed}|{','.join(map(str, prefix))}".encode()), prefix)
+
+    def conditional_at(self, state: tuple, prefix: Tokens) -> CategoricalDistribution:
         size = len(self.vocabulary)
-        key = f"{self.seed}|{','.join(map(str, prefix))}".encode()
-        if size <= 8:
-            digest = hashlib.blake2b(key, digest_size=8 * size).digest()
-        else:  # blake2b digests stop at 64 bytes: chain blocks salted by a counter
-            digest = b"".join(
-                hashlib.blake2b(key, digest_size=64, salt=block.to_bytes(16, "big")).digest()
-                for block in range((size + 7) // 8)
-            )
+        digest = b"".join(h.digest() for h in state)
         words = struct.unpack(f">{size}Q", digest[: 8 * size])
         # (word + 1) / (2**64 + 1) lies strictly inside (0, 1)
         logs = [self.peakedness * math.log((word + 1) / (2**64 + 1)) for word in words]
         peak = max(logs)
         weights = [math.exp(x - peak) for x in logs]
         total = sum(weights)
-        return CategoricalDistribution(tuple(w / total for w in weights))
+        return CategoricalDistribution._normalized(tuple(w / total for w in weights))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
 
 Each step is one `CategoricalDistribution.split` (see `codebook`).
+The walk carries the model's state next to each prefix (see
+`SequenceModel.advance`), so each distinct prefix costs one `advance` from its
+parent's state plus one `conditional_at`, not a read of the whole prefix.
 `code_interval_of_sequence`, the inverse map, narrows on the same cut points
 in `Fraction` arithmetic, so encode and decode share one partition.
 
@@ -66,17 +69,19 @@ def _walk(
             raise ParameterError(f"code {c} outside [0, 1)")
     seqs: list = [None] * len(codes)
     logprobs: list = [None] * len(codes)
-    # (prefix, its log-probability, [(input index, renormalized code)])
-    stack = [((), 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
+    # (prefix, its parent, the parent's model state, its log-probability, [(input
+    # index, renormalized code)]); a prefix gets its own state once it proves incomplete.
+    stack = [((), None, None, 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
     while stack:
-        tokens, logprob, run = stack.pop()
+        tokens, parent, state, logprob, run = stack.pop()
         if model.is_complete(tokens):
             for i, _ in run:
                 seqs[i], logprobs[i] = tokens, logprob
             continue
+        state = model.start() if parent is None else model.advance(state, parent, tokens[-1])
         # Pushed in reverse so the lowest symbol is expanded first.
-        for k, symbol_logprob, kids in reversed(conditional_modified(model, tokens, chain).split(run)):
-            stack.append((tokens + (k,), logprob + symbol_logprob, kids))
+        for k, symbol_logprob, kids in reversed(conditional_modified(model, tokens, chain, state).split(run)):
+            stack.append((tokens + (k,), tokens, state, logprob + symbol_logprob, kids))
     return seqs, logprobs
 
 

@@ -109,6 +109,16 @@ class TestSample:
         assert len(rows) == 256
         assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
 
+    def test_small_temperature_decodes_the_mode(self, tmp_path):
+        # every p ** (1 / 0.0009) of this file's rows underflows to 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "markov.json")
+        out = tmp_path / "out.csv"
+        assert run(["sample", "--model", golden, "--n", "8", "--seed", "3", "--temperature", "0.0009",
+                    "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        assert len(rows) == 8
+        assert all(r[2] == "a b e" and r[3] == "0.0" for r in rows)
+
 
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(arithdecode.__file__))

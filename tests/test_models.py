@@ -65,6 +65,32 @@ class TestModifiers:
         # p^2 renormalized: 64/68, 4/68
         assert out.probs == pytest.approx((64 / 68, 4 / 68))
 
+    @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-300])
+    @pytest.mark.parametrize(
+        "probs",
+        [(0.5, 0.3, 0.2), (F(1, 2), F(3, 10), F(1, 5)), (0.1, 0.0, 0.6, 0.3),
+         (0.4, 0.4, 0.2), (F(2, 5), F(1, 5), F(2, 5)), (F(1, 3), F(1, 3), F(1, 3))],
+    )
+    def test_small_temperature_keeps_the_mode(self, probs, t):
+        # p ** (1 / t) underflows to 0 for every symbol of most of these rows
+        top = max(probs)
+        out = apply_temperature(CategoricalDistribution(probs), t).probs
+        shares = {q for p, q in zip(probs, out) if p == top}
+        assert len(shares) == 1 and shares.pop() == pytest.approx(1 / probs.count(top))
+        assert all(q < 1e-300 for p, q in zip(probs, out) if p != top)
+
+    @given(weights_dist(), st.sampled_from([1e-6, 1e-300]))
+    def test_tiny_temperature_splits_mass_over_the_modes(self, d, t):
+        top = max(d.probs)
+        modes = d.probs.count(top)
+        assert apply_temperature(d, t).probs == tuple(1 / modes if p == top else 0.0 for p in d.probs)
+
+    def test_temperature_formula_kept_where_it_does_not_underflow(self):
+        probs = (0.5, 0.3, 0.2)
+        powered = [p ** (1 / 0.002) for p in probs]
+        expected = tuple(p / sum(powered) for p in powered)
+        assert apply_temperature(CategoricalDistribution(probs), 0.002).probs == expected
+
     def test_temperature_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             apply_temperature(CategoricalDistribution((1.0,)), 0.0)

@@ -30,6 +30,7 @@ from arithdecode import (
     decode_code,
     enumerate_joint,
     exact_codebook,
+    lattice_codes,
     locate,
     parallel_decode,
     renormalize,
@@ -187,7 +188,8 @@ MODELS = st.one_of(
     st.builds(lambda s: random_markov_model(random.Random(s), vocab_size=3, max_length=4), SEEDS),
     st.builds(lambda s, k: SyntheticLM(s, 5, 5, k, eos=4), SEEDS, st.sampled_from([1.0, 3.0])),
 )
-CHAINS = st.sampled_from([None, (Temperature(0.8), Nucleus(0.9)), (TopK(2),)])
+ALL_CHAINS = [None, (Temperature(0.8), Nucleus(0.9)), (TopK(2),)]
+CHAINS = st.sampled_from(ALL_CHAINS)
 CODES = st.one_of(
     st.floats(min_value=0, max_value=1, exclude_max=True),
     st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda x: x < 1),
@@ -230,6 +232,60 @@ class TestSharedWalk:
         seqs = arithmetic_sample(m, LatticeSpec(256, "paper", 0.37)).sequences()
         prefixes = {s[:d] for s in seqs for d in range(len(s))}
         assert m.calls == Counter(prefixes)
+
+
+class TestModelState:
+    """The walk reads each conditional from a model state carried down the trie;
+    it must agree bit for bit with `conditional(prefix)` and never be changed
+    in place, since siblings share their parent's state."""
+
+    @pytest.mark.parametrize("eos", [False, True])
+    @pytest.mark.parametrize("size", [2, 5, 8, 9, 16, 64])
+    @given(seed=SEEDS, peakedness=st.sampled_from([1.0, 4.0]), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_state_path_matches_conditional(self, size, eos, seed, peakedness, data):
+        model = SyntheticLM(seed, size, 6, peakedness, eos=size - 1 if eos else None)
+        not_eos = st.integers(0, size - 2 if eos else size - 1)
+        tokens = data.draw(st.lists(not_eos, min_size=5, max_size=5))
+        state = model.start()
+        for depth in range(model.max_length):  # prefixes of length 0 to L-1
+            prefix = tuple(tokens[:depth])
+            for chain in ALL_CHAINS:
+                by_state = conditional_modified(model, prefix, chain, state)
+                assert repr(by_state.probs) == repr(conditional_modified(model, prefix, chain).probs)
+            if depth < len(tokens):
+                state = model.advance(state, prefix, tokens[depth])
+
+    def test_default_state_is_the_prefix(self):
+        m = random_markov_model(random.Random(3), vocab_size=3, max_length=4)
+        state = m.advance(m.advance(m.start(), (), 2), (2,), 0)
+        assert state == (2, 0)
+        assert m.conditional_at(state, (2, 0)) is m.conditional((2, 0))
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_batch_leaves_later_decodes_unchanged(self, size):
+        codes = lattice_codes(LatticeSpec(64, "paper", 0.61))
+        expected = [decode_code(SyntheticLM(3, size, 12, eos=1), c) for c in codes]
+        model = SyntheticLM(3, size, 12, eos=1)
+        batch = parallel_decode(model, codes).sequences()
+        assert batch == expected
+        assert [decode_code(model, c) for c in codes] == expected
+
+    def test_one_advance_per_incomplete_prefix(self):
+        class Counting(SyntheticLM):
+            def advance(self, state, prefix, token):
+                advanced[prefix + (token,)] += 1
+                return super().advance(state, prefix, token)
+
+            def conditional_at(self, state, prefix):
+                read[prefix] += 1
+                return super().conditional_at(state, prefix)
+
+        advanced, read = Counter(), Counter()
+        seqs = arithmetic_sample(Counting(1, 8, 6, 4.0, eos=3), LatticeSpec(256, "paper", 0.37)).sequences()
+        prefixes = {s[:d] for s in seqs for d in range(len(s))}
+        assert read == Counter(prefixes)
+        assert advanced == Counter(prefixes - {()})  # complete sequences get no state
 
 
 PEAKED8 = SyntheticLM(1, 8, 32, peakedness=4, eos=3)
@@ -441,8 +497,8 @@ class TestSplit:
         dists = {}
 
         class Recording(SyntheticLM):
-            def conditional(self, prefix):
-                dist = dists[prefix] = super().conditional(prefix)
+            def conditional_at(self, state, prefix):
+                dist = dists[prefix] = super().conditional_at(state, prefix)
                 return dist
 
         m = Recording(0, 8, 32)
