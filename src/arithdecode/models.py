@@ -1,9 +1,10 @@
 """Sequence models over an ordered vocabulary, plus logit-modifier transforms.
 
 A model exposes conditional distributions over the next token given a prefix.
-A decoder that walks down the prefix trie may also carry a per-prefix model
-state (`start`, `advance`, `conditional_at`), so a child's conditional extends
-its parent's work, as a Transformer extends its per-beam KV cache.  By default
+Every walk down the prefix trie (the decoder, `sequence_logprob`, a sequence's
+codebook interval, the oracle's enumeration) carries a per-prefix model state
+(`start`, `advance`, `conditional_at`), so a child's conditional extends its
+parent's work, as a Transformer extends its per-beam KV cache.  By default
 the state is the prefix itself and `conditional_at` asks `conditional`.
 
 Reference implementations: a tabular model backed by an explicit joint table,
@@ -227,12 +228,20 @@ def conditional_modified(
     return dist
 
 
+def _steps(model: SequenceModel, tokens: Tokens, chain: ModifierChain | None):
+    """(modified conditional, token) for each step of `tokens`, read through the
+    model state; a state is advanced only when the next step reads it."""
+    tokens = tuple(tokens)
+    model.validate_tokens(tokens)
+    for t, tok in enumerate(tokens):
+        state = model.advance(state, tokens[: t - 1], tokens[t - 1]) if t else model.start()
+        yield conditional_modified(model, tokens[:t], chain, state), tok
+
+
 def sequence_logprob(model: SequenceModel, tokens: Tokens, chain: ModifierChain | None = None) -> float:
     """Sum of log modified-conditional probabilities; -inf on any zero step."""
-    model.validate_tokens(tokens)
     total = 0.0
-    for t, tok in enumerate(tokens):
-        dist = conditional_modified(model, tokens[:t], chain)
+    for dist, tok in _steps(model, tokens, chain):
         p = dist.probs[tok]
         if p == 0:
             return -math.inf
@@ -383,6 +392,9 @@ class SyntheticLM(SequenceModel):
         # (word + 1) / (2**64 + 1) lies strictly inside (0, 1)
         logs = [self.peakedness * math.log((word + 1) / (2**64 + 1)) for word in words]
         peak = max(logs)
+        if peak == -math.inf:  # every term overflowed: measure each log-uniform from the largest
+            top = math.log((max(words) + 1) / (2**64 + 1))
+            logs, peak = [self.peakedness * (math.log((w + 1) / (2**64 + 1)) - top) for w in words], 0.0
         weights = [math.exp(x - peak) for x in logs]
         total = sum(weights)
         return CategoricalDistribution._normalized(tuple(w / total for w in weights))

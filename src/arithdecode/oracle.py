@@ -7,7 +7,7 @@ The full-period sweep decodes every (shift, code) pair of a grid that refines
 all breakpoints as integers over one common denominator, then takes a single
 exact sum over the sequences hit.  This is the independent twin of the
 per-step decoder, used to pin down every derived expected value in the test
-suite.
+suite; it reads the same model states but shares no code with the decoder.
 """
 
 from __future__ import annotations
@@ -45,27 +45,29 @@ class ExactJoint:
 def enumerate_joint(
     model: SequenceModel, chain: ModifierChain | None = None, bound: int = DEFAULT_BOUND
 ) -> ExactJoint:
-    """Every positive-probability complete sequence, by exhaustive DFS.
+    """Every positive-probability complete sequence, by a DFS on an explicit stack.
 
     Requires an exact model (Fraction conditionals after modifiers); DFS in
     vocabulary-index order yields dictionary order for free.
     """
     out: list[tuple[Tokens, Fraction]] = []
-
-    def walk(prefix: Tokens, mass: Fraction):
+    # (prefix, its parent, the parent's model state, its mass)
+    stack = [((), None, None, Fraction(1))]
+    while stack:
+        prefix, parent, state, mass = stack.pop()
         if model.is_complete(prefix):
             if len(out) >= bound:
                 raise EnumerationBoundError(f"more than {bound} sequences")
             out.append((prefix, mass))
-            return
-        dist = conditional_modified(model, prefix, chain)
+            continue
+        state = model.start() if parent is None else model.advance(state, parent, prefix[-1])
+        dist = conditional_modified(model, prefix, chain, state)
         if not dist.is_exact:
             raise ParameterError("enumerate_joint needs exact (rational) conditionals")
-        for v, p in enumerate(dist.probs):
-            if p > 0:
-                walk(prefix + (v,), mass * Fraction(p))
-
-    walk((), Fraction(1))
+        # Pushed in reverse so the lowest symbol pops first.
+        for v in reversed(range(len(dist))):
+            if dist.probs[v] > 0:
+                stack.append((prefix + (v,), prefix, state, mass * Fraction(dist.probs[v])))
     return ExactJoint(tuple(out))
 
 

@@ -7,12 +7,12 @@ keeps the whole decode exact; floats give the fast path, which keeps ~52 bits
 of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
 
-Each step is one `CategoricalDistribution.split` (see `codebook`).
-The walk carries the model's state next to each prefix (see
-`SequenceModel.advance`), so each distinct prefix costs one `advance` from its
-parent's state plus one `conditional_at`, not a read of the whole prefix.
-`code_interval_of_sequence`, the inverse map, narrows on the same cut points
-in `Fraction` arithmetic, so encode and decode share one partition.
+Each step is one `CategoricalDistribution.split` (see `codebook`).  The walk
+carries the model's state next to each prefix (see `SequenceModel.advance`),
+so each distinct prefix costs one `advance` from its parent's state plus one
+`conditional_at`, not a read of the whole prefix.  `code_interval_of_sequence`,
+the inverse map, walks one sequence through the same states and narrows on
+the same cuts in exact arithmetic, so encode and decode share one partition.
 
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .codebook import LatticeSpec, Real, UnitInterval, lattice_codes
 from .errors import EmptyIntervalError, ParameterError
-from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
+from .models import ModifierChain, SequenceModel, Tokens, _steps, conditional_modified
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,9 @@ def code_interval_of_sequence(
     arithmetic, so the width is the (modified) sequence probability: exactly
     on an exact model, and the exact width of the float cuts on a float one.
     """
-    model.validate_tokens(tokens)
     lo, width = Fraction(0), Fraction(1)
-    for t, tok in enumerate(tokens):
-        symbols, cuts = conditional_modified(model, tokens[:t], chain).cdf[:2]
+    for dist, tok in _steps(model, tokens, chain):
+        symbols, cuts = dist.cdf[:2]
         k = bisect_left(symbols, tok)
         if k == len(symbols) or symbols[k] != tok:
             raise EmptyIntervalError(f"sequence {tokens} owns no codebook interval")

@@ -109,6 +109,15 @@ class TestSample:
         assert len(rows) == 256
         assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
 
+    def test_extreme_peakedness_decodes(self, model_file, tmp_path):
+        # peakedness * log(u) overflows to -inf for every symbol of the root conditional
+        spec = {"type": "synthetic", "seed": 10, "vocab_size": 2, "max_length": 2, "peakedness": 1e308}
+        out = tmp_path / "out.csv"
+        assert run(["sample", "--model", model_file(spec), "--n", "4", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
     def test_small_temperature_decodes_the_mode(self, tmp_path):
         # every p ** (1 / 0.0009) of this file's rows underflows to 0
         golden = os.path.join(os.path.dirname(__file__), "golden", "markov.json")
@@ -208,6 +217,22 @@ class TestOracleCheck:
         assert run(["oracle-check", "--model", model_file(BERNOULLI), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "property,pass,worst_deviation"
+        assert all(ln.split(",")[1] == "pass" for ln in lines[1:])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "markov", "vocabulary": ["a", "b"], "max_length": 1500, "order": 0, "rows": {"": ["1", "0"]}},
+            {"type": "markov", "vocabulary": ["a", "e"], "eos": 1, "max_length": 1500, "order": 1,
+             "rows": {"": ["1/2", "1/2"], "a": ["1", "0"]}},
+        ],
+        ids=["no-eos", "eos"],
+    )
+    def test_sequences_deeper_than_the_recursion_limit(self, spec, model_file, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run(["oracle-check", "--model", model_file(spec), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 5
         assert all(ln.split(",")[1] == "pass" for ln in lines[1:])
 
     def test_non_normalized_model(self, model_file):

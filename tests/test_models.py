@@ -261,6 +261,16 @@ class TestSyntheticLM:
             prefix = tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
             assert abs(sum(m.conditional(prefix).probs) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("size", [2, 3, 9, 17])
+    @pytest.mark.parametrize("peakedness", [1e300, 1e308, 1.7e308])
+    def test_extreme_peakedness_puts_all_mass_on_the_mode(self, size, peakedness):
+        # for some seeds every peakedness * log(u) of a conditional overflows to -inf
+        for seed in range(50):
+            for prefix in [(), (1,)]:
+                mode = max(range(size), key=SyntheticLM(seed, size, 3).conditional(prefix).probs.__getitem__)
+                probs = SyntheticLM(seed, size, 3, peakedness).conditional(prefix).probs
+                assert probs == tuple(float(i == mode) for i in range(size))
+
     @pytest.mark.parametrize("size", range(2, 9))
     def test_small_vocabularies_read_one_digest(self, size):
         # Up to eight symbols the conditional comes from a single 8*V-byte

@@ -18,7 +18,7 @@ from arithdecode import (
     sequence_logprob,
 )
 from arithdecode.errors import EnumerationBoundError
-from arithdecode.models import TabularModel, Vocabulary
+from arithdecode.models import MarkovModel, TabularModel, Vocabulary
 from arithdecode.oracle import full_period_average, full_period_shift_grid, write_oracle_csv
 from arithdecode.sampler import code_interval_of_sequence
 from util import (
@@ -59,6 +59,10 @@ class TestEnumerateJoint:
     def test_bound_exceeded(self):
         with pytest.raises(EnumerationBoundError):
             enumerate_joint(bernoulli_model(max_length=4), bound=3)
+
+    def test_deeper_than_the_recursion_limit(self):
+        m = MarkovModel(0, {(): (F(1),)}, Vocabulary(("a",)), 5000)
+        assert enumerate_joint(m).entries == (((0,) * 5000, F(1)),)
 
 
 class TestExactCodebook:

@@ -2,7 +2,7 @@
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +21,7 @@ from arithdecode import (
     TabularModel,
     Temperature,
     TopK,
+    UnitInterval,
     Vocabulary,
     ancestral_sample,
     arithmetic_sample,
@@ -37,7 +38,7 @@ from arithdecode import (
     sequence_logprob,
 )
 from arithdecode.codebook import FAST_SUM_TOL
-from arithdecode.errors import EmptyIntervalError, ParameterError
+from arithdecode.errors import EmptyIntervalError, InvalidPrefixError, ParameterError
 from arithdecode.oracle import prefix_intervals, prefix_probabilities
 from util import bernoulli_model, deterministic_model, random_markov_model, random_tabular_model
 
@@ -286,6 +287,117 @@ class TestModelState:
         prefixes = {s[:d] for s in seqs for d in range(len(s))}
         assert read == Counter(prefixes)
         assert advanced == Counter(prefixes - {()})  # complete sequences get no state
+
+
+def reference_logprob(model, tokens, chain=None):
+    """`sequence_logprob` as it read the model before the state hooks: each
+    step asks for the conditional of the whole prefix."""
+    model.validate_tokens(tokens)
+    total = 0.0
+    for t, tok in enumerate(tokens):
+        dist = conditional_modified(model, tokens[:t], chain)
+        p = dist.probs[tok]
+        if p == 0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+def reference_interval(model, tokens, chain=None):
+    """`code_interval_of_sequence` read the same stateless way."""
+    model.validate_tokens(tokens)
+    lo, width = F(0), F(1)
+    for t, tok in enumerate(tokens):
+        symbols, cuts = conditional_modified(model, tokens[:t], chain).cdf[:2]
+        k = bisect_left(symbols, tok)
+        if k == len(symbols) or symbols[k] != tok:
+            raise EmptyIntervalError(f"sequence {tokens} owns no codebook interval")
+        below, above = F(cuts[k]), F(cuts[k + 1])
+        lo += width * below
+        width *= above - below
+    return UnitInterval(lo, lo + width)
+
+
+def outcome(f, model, tokens, chain):
+    """What `f` returns, with its repr so floats compare bit for bit, or what it raises."""
+    try:
+        value = f(model, tokens, chain)
+    except EmptyIntervalError as e:
+        return EmptyIntervalError, str(e)
+    return value, repr(value)
+
+
+REFERENCE_MODELS = st.one_of(
+    st.builds(
+        lambda s, size, eos, k: SyntheticLM(s, size, 6, k, eos=size - 1 if eos else None),
+        SEEDS, st.sampled_from([2, 5, 8, 9, 16]), st.booleans(), st.sampled_from([1.0, 4.0]),
+    ),
+    st.builds(lambda s, v, n: random_markov_model(random.Random(s), vocab_size=v, max_length=n, denom=4),
+              SEEDS, st.integers(2, 4), st.integers(1, 5)),
+    st.builds(lambda s, v, n, eos: random_tabular_model(random.Random(s), v, n, eos=v - 1 if eos else None),
+              SEEDS, st.integers(2, 3), st.integers(1, 3), st.booleans()),
+)
+
+
+class TestStateReferences:
+    """`sequence_logprob` and `code_interval_of_sequence` read the model through
+    its state hooks and must give what the stateless per-prefix loops gave."""
+
+    def check(self, model, tokens, chain):
+        for new, old in [(sequence_logprob, reference_logprob), (code_interval_of_sequence, reference_interval)]:
+            expected = outcome(old, model, tokens, chain)
+            assert outcome(new, model, tokens, chain) == expected
+            assert outcome(new, model, list(tokens), chain)[0] == expected[0]  # a list reads the same
+
+    @given(REFERENCE_MODELS, st.sampled_from(ALL_CHAINS + [(TopK(1),)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stateless_loops(self, model, chain, data):
+        # prefixes from () up to complete sequences, cut after the first EOS
+        raw = data.draw(st.lists(st.integers(0, len(model.vocabulary) - 1), max_size=model.max_length))
+        eos = model.vocabulary.eos
+        tokens = tuple(raw[: raw.index(eos) + 1] if eos in raw else raw)
+        self.check(model, tokens, chain)
+
+    def test_top_k_zero_step(self):
+        assert reference_logprob(bernoulli_model(), (0, 1), (TopK(1),)) == -math.inf
+        self.check(bernoulli_model(), (0, 1), (TopK(1),))
+        self.check(SyntheticLM(3, 9, 4), (1, 2, 3), (TopK(1),))
+
+    def test_zero_mass_prefix_returns_before_its_conditional(self):
+        m = deterministic_model((0, 1, 0))
+        with pytest.raises(InvalidPrefixError):
+            m.conditional((0, 0))
+        assert sequence_logprob(m, (0, 0, 1)) == -math.inf
+        self.check(m, (0, 0, 1), None)
+
+    def test_float_symbol_without_interval_keeps_its_logprob(self):
+        m = TabularModel({(0,): 1.0, (1,): 1e-20}, Vocabulary(("A", "B")), 1)
+        assert sequence_logprob(m, (1,)) == math.log(1e-20)
+        with pytest.raises(EmptyIntervalError):
+            code_interval_of_sequence(m, (1,))
+        self.check(m, (1,), None)
+
+    def test_one_state_read_per_step(self):
+        class Counting(SyntheticLM):
+            def conditional(self, prefix):
+                raise AssertionError("read the whole prefix")
+
+            def advance(self, state, prefix, token):
+                advanced[prefix + (token,)] += 1
+                return super().advance(state, prefix, token)
+
+            def conditional_at(self, state, prefix):
+                read[prefix] += 1
+                return super().conditional_at(state, prefix)
+
+        advanced, read = Counter(), Counter()
+        m, seq = Counting(4, 9, 6, eos=2), (0, 1, 3, 5, 2)
+        for f in (sequence_logprob, code_interval_of_sequence):
+            advanced.clear()
+            read.clear()
+            f(m, seq)
+            assert read == Counter(seq[:d] for d in range(len(seq)))
+            assert advanced == Counter(seq[:d] for d in range(1, len(seq)))
 
 
 PEAKED8 = SyntheticLM(1, 8, 32, peakedness=4, eos=3)
