@@ -18,9 +18,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import evaluation, oracle
 from .codebook import LatticeSpec, UnitInterval, lattice_codes
 from .errors import (
+    DEFAULT_BOUND,
     EnumerationBoundError,
     InputError,
     InvalidModelError,
@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .models import Nucleus, Temperature, TopK, load_model
-from .sampler import code_interval_of_sequence, parallel_decode
+from .sampler import code_interval_of_sequence, draw, parallel_decode
 
 
 def _fmt(x) -> str:
@@ -77,6 +77,7 @@ def _bleu_reward(eos):
     """BLEU of a decoded sequence, EOS stripped, against a reference.
     `evaluation.sentence_bleu` scores each distinct pair once, so the many
     copies of a few sequences in a batch cost one score each."""
+    from . import evaluation
 
     def reward(tokens, reference) -> float:
         return evaluation.sentence_bleu(evaluation.strip_eos(tokens, eos), reference)
@@ -101,7 +102,7 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     seed = _seed(args)
     tag = f"{seed}:shift" if args.method == "arithmetic" else seed
-    ss = evaluation.draw(model, args.method, args.n, tag, _chain(args, args.temperature), args.lattice_mode)
+    ss = draw(model, args.method, args.n, tag, _chain(args, args.temperature), args.lattice_mode)
     lines = [] if ss.shift is None else [f"# shift_b={_fmt(ss.shift)}"]
     lines.append("index,code,sequence,logprob")
     for i, e in enumerate(ss.entries):
@@ -112,6 +113,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_diversity(args) -> int:
+    from . import evaluation
     model = load_model(args.model)
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
@@ -122,7 +124,7 @@ def cmd_diversity(args) -> int:
         chain = _chain(args, t)
         means, mins, maxes, divs = [], [], [], []
         for i, ref in enumerate(refs):
-            ss = evaluation.draw(model, args.method, args.n, f"{seed}:{t}:{i}", chain, args.lattice_mode)
+            ss = draw(model, args.method, args.n, f"{seed}:{t}:{i}", chain, args.lattice_mode)
             rewards = [bleu(s, ref) for s in ss.sequences()]
             means.append(sum(rewards) / len(rewards))
             mins.append(min(rewards))
@@ -138,6 +140,7 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_variance(args) -> int:
+    from . import evaluation
     model = load_model(args.model)
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
@@ -159,6 +162,7 @@ def cmd_variance(args) -> int:
 
 
 def _load_step_function(path: str) -> evaluation.StepFunction:
+    from . import evaluation
     pieces = []
     try:
         with open(path) as f:
@@ -180,6 +184,7 @@ def _load_step_function(path: str) -> evaluation.StepFunction:
 
 
 def cmd_stepfn(args) -> int:
+    from . import evaluation
     f = _load_step_function(args.stepfn)
     seed = _seed(args)
     lines = ["n_points,lattice_var,mc_var,exact_integral,c_on_hat,c_off_hat"]
@@ -199,6 +204,7 @@ def cmd_stepfn(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import oracle
     model = load_model(args.model)
     joint = oracle.enumerate_joint(model, bound=args.bound)
     cb = oracle.exact_codebook(joint)
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle-check", help="exact oracle/sampler equivalence suite")
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND, help="most sequences, and most shifts swept")
+    sp.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="most sequences, and most shifts swept")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_oracle_check)
 

@@ -13,14 +13,14 @@ run of codes and renormalizes each into its symbol's interval.  A float
 distribution merges the run with its cuts in one pass that stops at the first
 cut above the last code, and builds no CDF.  An exact one bisects its cached
 CDF: a float code on the float cuts, compared with the exact cut only when it
-equals one, and a Fraction code on the exact cuts, so it stays exact.
+equals one, and a Fraction code on the exact cuts, so it stays exact; when
+one symbol owns all of [0, 1), the run passes through unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Union
@@ -37,16 +37,41 @@ def is_exact(x: Real) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class UnitInterval:
+class _Record:
+    """A frozen value: `==` (same class only), `hash` and `repr` over the
+    attributes named in `_fields`, which `__init__` writes into `__dict__`;
+    the decode path's constructors write item by item, faster than `update`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class UnitInterval(_Record):
     """Half-open subinterval [lo, hi) of the unit interval."""
 
-    lo: Real
-    hi: Real
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not (0 <= self.lo < self.hi <= 1):
-            raise ParameterError(f"not a valid unit subinterval: [{self.lo}, {self.hi})")
+    def __init__(self, lo: Real, hi: Real):
+        if not (0 <= lo < hi <= 1):
+            raise ParameterError(f"not a valid unit subinterval: [{lo}, {hi})")
+        d = self.__dict__
+        d["lo"], d["hi"] = lo, hi
 
     @property
     def width(self) -> Real:
@@ -67,8 +92,7 @@ class CDF(NamedTuple):
     logprobs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CategoricalDistribution:
+class CategoricalDistribution(_Record):
     """Ordered per-symbol probabilities.
 
     Exact inputs (ints/Fractions) must sum to exactly 1 and are kept as
@@ -76,18 +100,17 @@ class CategoricalDistribution:
     within FAST_SUM_TOL.  `is_exact` is settled once, on construction.
     """
 
-    probs: tuple[Real, ...]
-    is_exact: bool = field(init=False, repr=False, compare=False)
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        probs = tuple(self.probs)
+    def __init__(self, probs: tuple[Real, ...]):
+        probs = tuple(probs)
         if not probs:
             raise InvalidDistributionError("empty distribution")
         exact = all(map(is_exact, probs))
         if exact:  # ints become Fractions, so `/` on them stays exact
             probs = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "is_exact", exact)
+        d = self.__dict__
+        d["probs"], d["is_exact"] = probs, exact
         if any(p < 0 for p in probs):
             raise InvalidDistributionError(f"negative probability in {probs}")
         total = sum(probs)
@@ -153,6 +176,8 @@ class CategoricalDistribution:
                 out[-1][2].append((i, _rescale(c, lo, hi - lo)))
             return out
         symbols, cuts, fcuts, fwidths, logprobs = self.cdf
+        if len(symbols) == 1:  # one symbol owns [0, 1), where (c - 0) / 1 is c
+            return [(symbols[0], logprobs[0], run)]
         for i, c in run:
             if isinstance(c, float):
                 k = bisect.bisect_right(fcuts, c) - 1
@@ -174,8 +199,7 @@ def _rescale(c: Real, lo: Real, width: Real) -> Real:
     return out if out < 1.0 else math.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Record):
     """Evenly spaced code set: sample count n, spacing mode, shared shift b.
 
     mode="paper" places codes at i/(n+1) + b mod 1 for i = 1..n, so a single
@@ -184,17 +208,17 @@ class LatticeSpec:
     arguments assume).
     """
 
-    n: int
-    mode: str = "paper"
-    shift: Real = 0.0
+    _fields = ("n", "mode", "shift")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, mode: str = "paper", shift: Real = 0.0):
+        if n < 1:
             raise ParameterError("lattice needs n >= 1")
-        if self.mode not in ("paper", "uniform"):
-            raise ParameterError(f"unknown lattice mode {self.mode!r}")
-        if not (0 <= self.shift < 1):
+        if mode not in ("paper", "uniform"):
+            raise ParameterError(f"unknown lattice mode {mode!r}")
+        if not (0 <= shift < 1):
             raise ParameterError("shift must lie in [0, 1)")
+        d = self.__dict__
+        d["n"], d["mode"], d["shift"] = n, mode, shift
 
 
 def cdf_intervals(dist: CategoricalDistribution) -> list[tuple[int, UnitInterval]]:

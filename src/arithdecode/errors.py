@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+DEFAULT_BOUND = 10**6  # most sequences enumerated, and most shifts swept, before EnumerationBoundError
+
 
 class InvalidDistributionError(ValueError):
     """Probabilities are negative, don't sum to one, or are otherwise malformed."""

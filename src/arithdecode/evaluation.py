@@ -15,16 +15,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .codebook import LatticeSpec, Real, UnitInterval, is_exact, lattice_codes
+from .codebook import LatticeSpec, Real, UnitInterval, _Record, is_exact, lattice_codes
 from .errors import ParameterError
 from .models import ModifierChain, SequenceModel, Tokens
-from .sampler import SampleSet, ancestral_sample, arithmetic_sample
+from .sampler import SampleSet, draw
 
 RewardFn = Callable[[Tokens], float]
 
@@ -33,20 +31,19 @@ RewardFn = Callable[[Tokens], float]
 # Step functions
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Record):
     """Finite linear combination of indicators of disjoint intervals covering [0,1)."""
 
-    pieces: tuple[tuple[UnitInterval, Real], ...]
+    _fields = ("pieces",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.pieces:
+    def __init__(self, pieces: tuple[tuple[UnitInterval, Real], ...]):
+        pieces = self.__dict__["pieces"] = tuple(pieces)
+        if not pieces:
             raise ParameterError("step function needs at least one piece")
-        lo = self.pieces[0][0].lo
+        lo = pieces[0][0].lo
         if lo != 0:
             raise ParameterError("pieces must start at 0")
-        for iv, _ in self.pieces:
+        for iv, _ in pieces:
             if iv.lo != lo:
                 raise ParameterError("pieces must be contiguous and ordered")
             lo = iv.hi
@@ -146,20 +143,6 @@ def covariance_matrix_eigenvalues(n: int) -> tuple[float, list[float]]:
 # Estimator statistics
 
 
-def draw(
-    model: SequenceModel, method: str, n: int, tag, chain: ModifierChain | None = None,
-    lattice_mode: str = "paper",
-) -> SampleSet:
-    """An n-sample batch, a pure function of `tag`: "arithmetic" decodes the lattice
-    shifted by random.Random(tag).random(), "ancestral" n codes from random.Random(tag)."""
-    if method == "arithmetic":
-        shift = random.Random(tag).random()
-        return arithmetic_sample(model, LatticeSpec(n, lattice_mode, shift), chain)
-    if method == "ancestral":
-        return ancestral_sample(model, n, tag, chain)
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def sample_mean(samples: SampleSet, reward: RewardFn) -> float:
     if not samples.entries:
         raise ParameterError("empty sample set")
@@ -170,15 +153,13 @@ def sample_mean(samples: SampleSet, reward: RewardFn) -> float:
     return total / len(vals)
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    method: str
-    n: int
-    reps: int
-    mean: float
-    sd: float
-    percentile_2_5: float
-    percentile_97_5: float
+class EstimatorReport(_Record):
+    _fields = ("method", "n", "reps", "mean", "sd", "percentile_2_5", "percentile_97_5")
+
+    def __init__(self, method: str, n: int, reps: int, mean: float, sd: float,
+                 percentile_2_5: float, percentile_97_5: float):
+        vars(self).update(method=method, n=n, reps=reps, mean=mean, sd=sd,
+                          percentile_2_5=percentile_2_5, percentile_97_5=percentile_97_5)
 
 
 def estimator_sd(

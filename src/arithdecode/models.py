@@ -19,16 +19,14 @@ float-only; it stands in for a neural model in statistical experiments.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .codebook import FAST_SUM_TOL, CategoricalDistribution, Real, is_exact
+from .codebook import FAST_SUM_TOL, CategoricalDistribution, Real, _Record, is_exact
 from .errors import (
     InvalidModelError,
     InvalidPrefixError,
@@ -39,27 +37,26 @@ from .errors import (
 Tokens = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(_Record):
     """Ordered symbols, each free of whitespace and ','; eos=None means fixed-length sequences."""
 
-    symbols: tuple[str, ...]
-    eos: int | None = None
+    _fields = ("symbols", "eos")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...], eos: int | None = None):
+        symbols = tuple(symbols)
+        if not symbols:
             raise InvalidModelError("empty vocabulary")
-        for s in self.symbols:
+        for s in symbols:
             if not isinstance(s, str) or s.split() != [s] or "," in s:
                 raise InvalidModelError(f"symbol {s!r} is not a non-empty string free of whitespace and ','")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise InvalidModelError("duplicate vocabulary symbols")
-        if self.eos is not None:
-            if not isinstance(self.eos, int) or isinstance(self.eos, bool):
-                raise InvalidModelError(f"eos {self.eos!r} is not a vocabulary index")
-            if not (0 <= self.eos < len(self.symbols)):
-                raise InvalidModelError(f"eos index {self.eos} out of range")
+        if eos is not None:
+            if not isinstance(eos, int) or isinstance(eos, bool):
+                raise InvalidModelError(f"eos {eos!r} is not a vocabulary index")
+            if not (0 <= eos < len(symbols)):
+                raise InvalidModelError(f"eos index {eos} out of range")
+        vars(self).update(symbols=symbols, eos=eos)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -122,31 +119,31 @@ class SequenceModel(ABC):
 # Logit modifiers
 
 
-@dataclass(frozen=True)
-class Temperature:
-    t: float
+class Temperature(_Record):
+    _fields = ("t",)
 
-    def __post_init__(self):
-        if not (0 < self.t < math.inf):  # NaN fails too
-            raise ParameterError(f"temperature must be positive and finite, not {self.t}")
+    def __init__(self, t: float):
+        if not (0 < t < math.inf):  # NaN fails too
+            raise ParameterError(f"temperature must be positive and finite, not {t}")
+        self.__dict__["t"] = t
 
 
-@dataclass(frozen=True)
-class TopK:
-    k: int
+class TopK(_Record):
+    _fields = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise ParameterError("top-k needs k >= 1")
+        self.__dict__["k"] = k
 
 
-@dataclass(frozen=True)
-class Nucleus:
-    p: float
+class Nucleus(_Record):
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not (0 < self.p <= 1):
+    def __init__(self, p: float):
+        if not (0 < p <= 1):
             raise ParameterError("nucleus p must lie in (0, 1]")
+        self.__dict__["p"] = p
 
 
 Modifier = Union[Temperature, TopK, Nucleus]
@@ -297,7 +294,8 @@ class TabularModel(SequenceModel):
 
 
 class MarkovModel(SequenceModel):
-    """Fixed-order Markov chain: the conditional depends on the last `order` tokens."""
+    """Fixed-order Markov chain: the conditional depends on the last `order` tokens.
+    The state is the default one, the prefix, and a step is one row lookup."""
 
     def __init__(
         self,
@@ -321,6 +319,9 @@ class MarkovModel(SequenceModel):
         prefix = tuple(prefix)
         if self.is_complete(prefix):
             raise InvalidPrefixError(f"prefix {prefix} is complete")
+        return self.conditional_at(prefix, prefix)
+
+    def conditional_at(self, state: Tokens, prefix: Tokens) -> CategoricalDistribution:
         ctx = prefix[-self.order:] if self.order else ()
         if ctx not in self.rows:
             raise InvalidModelError(f"missing transition row for context {ctx}")
@@ -360,6 +361,7 @@ class SyntheticLM(SequenceModel):
 
     def _absorb(self, key: bytes) -> tuple:
         """Fresh blake2b objects, one per block of eight symbols, that have absorbed `key`."""
+        import hashlib  # here, so that a process that reads no synthetic model never imports it
         size = len(self.vocabulary)
         if size <= 8:
             return (hashlib.blake2b(key, digest_size=8 * size),)

@@ -18,28 +18,25 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .codebook import UnitInterval
-from .errors import EnumerationBoundError, InvalidModelError, ParameterError
+from .codebook import UnitInterval, _Record
+from .errors import DEFAULT_BOUND, EnumerationBoundError, InvalidModelError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
 Reward = Callable[[Tokens], Fraction]
 
-DEFAULT_BOUND = 10**6
 
-
-@dataclass(frozen=True)
-class ExactJoint:
+class ExactJoint(_Record):
     """Complete sequences with exact probabilities, dictionary-ordered."""
 
-    entries: tuple[tuple[Tokens, Fraction], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        if sum(p for _, p in self.entries) != 1:
+    def __init__(self, entries: tuple[tuple[Tokens, Fraction], ...]):
+        if sum(p for _, p in entries) != 1:
             raise InvalidModelError("joint probabilities do not sum to 1")
+        self.__dict__["entries"] = entries
 
 
 def enumerate_joint(

@@ -23,35 +23,35 @@ log-probability is summed on the way down in the same order as
 step-by-step decode and the results are bit-identical to it.  decode_code is
 the one-code case of the same walk.
 
-Arithmetic sampling decodes a shifted lattice of codes; ancestral sampling
-decodes i.i.d. uniform codes, so both methods share one code path.
+Arithmetic sampling decodes a shifted lattice of codes, ancestral sampling
+i.i.d. uniform codes; both share one code path, and `draw` picks one by name.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .codebook import LatticeSpec, Real, UnitInterval, lattice_codes
+from .codebook import LatticeSpec, Real, UnitInterval, _Record, lattice_codes
 from .errors import EmptyIntervalError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, _steps, conditional_modified
 
 
-@dataclass(frozen=True)
-class SampleEntry:
-    sequence: Tokens
-    code: Optional[Real]  # absent for ancestral entries
-    logprob: float
+class SampleEntry(_Record):
+    _fields = ("sequence", "code", "logprob")  # code is None for ancestral entries
+
+    def __init__(self, sequence: Tokens, code: Optional[Real], logprob: float):
+        d = self.__dict__
+        d["sequence"], d["code"], d["logprob"] = sequence, code, logprob
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    entries: tuple[SampleEntry, ...]
-    method: str  # "arithmetic" | "ancestral"
-    shift: Optional[Real] = None
+class SampleSet(_Record):
+    _fields = ("entries", "method", "shift")  # method is "arithmetic" or "ancestral"
+
+    def __init__(self, entries: tuple[SampleEntry, ...], method: str, shift: Optional[Real] = None):
+        vars(self).update(entries=entries, method=method, shift=shift)
 
     def sequences(self) -> list[Tokens]:
         return [e.sequence for e in self.entries]
@@ -154,3 +154,17 @@ def ancestral_sample(
     seqs, logprobs = _walk(model, codes, chain)
     entries = tuple(SampleEntry(seq, None, lp) for seq, lp in zip(seqs, logprobs))
     return SampleSet(entries, method="ancestral")
+
+
+def draw(
+    model: SequenceModel, method: str, n: int, tag, chain: ModifierChain | None = None,
+    lattice_mode: str = "paper",
+) -> SampleSet:
+    """An n-sample batch, a pure function of `tag`: "arithmetic" decodes the lattice
+    shifted by random.Random(tag).random(), "ancestral" n codes from random.Random(tag)."""
+    if method == "arithmetic":
+        shift = random.Random(tag).random()
+        return arithmetic_sample(model, LatticeSpec(n, lattice_mode, shift), chain)
+    if method == "ancestral":
+        return ancestral_sample(model, n, tag, chain)
+    raise ParameterError(f"unknown method {method!r}")

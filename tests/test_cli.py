@@ -136,6 +136,44 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+def test_sample_imports_only_what_it_runs(tmp_path):
+    # -S: without `site`, only the interpreter's own start-up and the program import anything
+    src = os.path.dirname(os.path.dirname(arithdecode.__file__))
+    golden = os.path.join(os.path.dirname(__file__), "golden", "markov.json")
+    out = tmp_path / "out.csv"
+    unused = ["arithdecode.oracle", "arithdecode.evaluation", "dataclasses", "inspect", "hashlib", "numpy"]
+    probe = (
+        "import json, sys\n"
+        "from arithdecode import cli\n"
+        f"code = cli.main(['sample', '--model', {golden!r}, '--n', '64', '--out', {str(out)!r}])\n"
+        f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == [0, []], proc.stderr
+    assert len(out.read_text().splitlines()) == 2 + 64
+
+
+def test_package_serves_every_public_name():
+    from arithdecode import errors, evaluation, oracle, sampler
+
+    assert len(set(arithdecode.__all__)) == len(arithdecode.__all__)
+    for name in arithdecode.__all__:
+        assert getattr(arithdecode, name) is not None
+    assert set(arithdecode.__all__) <= set(dir(arithdecode))
+    assert arithdecode.ExactJoint is oracle.ExactJoint and arithdecode.sentence_bleu is evaluation.sentence_bleu
+    assert arithdecode.oracle is oracle and arithdecode.evaluation is evaluation
+    namespace = {}
+    exec("from arithdecode import *", namespace)
+    assert {name: namespace[name] for name in arithdecode.__all__} == {
+        name: getattr(arithdecode, name) for name in arithdecode.__all__
+    }
+    assert evaluation.draw is sampler.draw
+    assert oracle.DEFAULT_BOUND == errors.DEFAULT_BOUND == 10**6
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        arithdecode.no_such_name
+
+
 class TestDiversity:
     def test_deterministic_mean_equals_max(self, model_file, tmp_path):
         ref = tmp_path / "refs.txt"

@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 
 from arithdecode import (
     CategoricalDistribution,
+    EstimatorReport,
+    ExactJoint,
     LatticeSpec,
+    Nucleus,
+    SampleEntry,
+    SampleSet,
+    StepFunction,
+    Temperature,
+    TopK,
     UnitInterval,
+    Vocabulary,
     cdf_intervals,
     lattice_codes,
     locate,
@@ -184,3 +193,70 @@ class TestShiftMod1:
         c = F(k, 1000)
         hits = {shift_mod1(c, F(j, 1000)) for j in range(1000)}
         assert hits == {F(j, 1000) for j in range(1000)}
+
+
+def _records():
+    """(value built by keyword with its defaults, its repr, its fields in order)
+    for each frozen value class of the package."""
+    entry = SampleEntry(sequence=(0, 1), code=None, logprob=-1.0)
+    entry_repr = "SampleEntry(sequence=(0, 1), code=None, logprob=-1.0)"
+    whole = UnitInterval(lo=0, hi=1)
+    return [
+        (UnitInterval(lo=F(1, 4), hi=F(1, 2)), "UnitInterval(lo=Fraction(1, 4), hi=Fraction(1, 2))",
+         (F(1, 4), F(1, 2))),
+        (CategoricalDistribution(probs=[0.25, 0.75]), "CategoricalDistribution(probs=(0.25, 0.75))",
+         ((0.25, 0.75),)),
+        (LatticeSpec(n=4), "LatticeSpec(n=4, mode='paper', shift=0.0)", (4, "paper", 0.0)),
+        (Vocabulary(symbols=["a", "b"]), "Vocabulary(symbols=('a', 'b'), eos=None)", (("a", "b"), None)),
+        (Temperature(t=0.5), "Temperature(t=0.5)", (0.5,)),
+        (TopK(k=2), "TopK(k=2)", (2,)),
+        (Nucleus(p=0.9), "Nucleus(p=0.9)", (0.9,)),
+        (entry, entry_repr, ((0, 1), None, -1.0)),
+        (SampleSet(entries=(entry,), method="ancestral"),
+         f"SampleSet(entries=({entry_repr},), method='ancestral', shift=None)", ((entry,), "ancestral", None)),
+        (StepFunction(pieces=[(whole, 2)]), "StepFunction(pieces=((UnitInterval(lo=0, hi=1), 2),))",
+         (((whole, 2),),)),
+        (EstimatorReport(method="arithmetic", n=4, reps=2, mean=0.5, sd=0.25, percentile_2_5=0.125,
+                         percentile_97_5=0.875),
+         "EstimatorReport(method='arithmetic', n=4, reps=2, mean=0.5, sd=0.25, percentile_2_5=0.125, "
+         "percentile_97_5=0.875)", ("arithmetic", 4, 2, 0.5, 0.25, 0.125, 0.875)),
+        (ExactJoint(entries=(((0,), F(1)),)), "ExactJoint(entries=(((0,), Fraction(1, 1)),))",
+         ((((0,), F(1)),),)),
+    ]
+
+
+RECORDS = _records()
+
+
+class TestRecords:
+    """The package's value classes compare, hash and print by their fields, as
+    frozen dataclasses do, and refuse assignment."""
+
+    @pytest.mark.parametrize("value, text, fields", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+    def test_value_semantics(self, value, text, fields):
+        assert repr(value) == text
+        assert hash(value) == hash(fields)
+        assert value != fields and not value == fields
+        twin = type(value)(*fields)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        name = text[text.index("(") + 1 : text.index("=")]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert repr(value) == text
+
+    def test_equality_needs_the_same_class(self):
+        class Spec(LatticeSpec):
+            pass
+
+        assert LatticeSpec(4) != Spec(4)
+        assert LatticeSpec(4) != LatticeSpec(5) and LatticeSpec(4) == LatticeSpec(4, "paper", 0.0)
+
+    def test_exactness_is_not_a_field(self):
+        dist = CategoricalDistribution((1, 0))
+        assert dist.is_exact and dist.probs == (F(1), F(0))
+        assert repr(dist) == "CategoricalDistribution(probs=(Fraction(1, 1), Fraction(0, 1)))"
+        assert dist == CategoricalDistribution((F(1), F(0))) and hash(dist) == hash(((F(1), F(0)),))

@@ -1,5 +1,6 @@
 """Code-point decoding, sequence intervals, batch sampling, parallel contract."""
 
+import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -38,7 +39,7 @@ from arithdecode import (
     sequence_logprob,
 )
 from arithdecode.codebook import FAST_SUM_TOL
-from arithdecode.errors import EmptyIntervalError, InvalidPrefixError, ParameterError
+from arithdecode.errors import EmptyIntervalError, InvalidModelError, InvalidPrefixError, ParameterError
 from arithdecode.oracle import prefix_intervals, prefix_probabilities
 from util import bernoulli_model, deterministic_model, random_markov_model, random_tabular_model
 
@@ -287,6 +288,48 @@ class TestModelState:
         prefixes = {s[:d] for s in seqs for d in range(len(s))}
         assert read == Counter(prefixes)
         assert advanced == Counter(prefixes - {()})  # complete sequences get no state
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_markov_state_path_matches_conditional(self, order):
+        rng = random.Random(order)
+
+        def row():
+            weights = [rng.randint(0, 3) for _ in range(3)]
+            weights[rng.randrange(3)] += 1
+            return tuple(F(w, sum(weights)) for w in weights)
+
+        contexts = [ctx for k in range(order + 1) for ctx in itertools.product(range(3), repeat=k)]
+        m = MarkovModel(order, {ctx: row() for ctx in contexts}, Vocabulary(("a", "b", "c")), 4)
+        stack = [((), m.start())]
+        while stack:
+            prefix, state = stack.pop()
+            assert m.conditional_at(state, prefix) is m.conditional(prefix)
+            if len(prefix) < m.max_length - 1:
+                stack += [(prefix + (v,), m.advance(state, prefix, v)) for v in range(3)]
+
+    def test_markov_walks_read_rows_without_conditional(self):
+        class Counting(MarkovModel):
+            def conditional(self, prefix):
+                calls.append(prefix)
+                return super().conditional(prefix)
+
+        calls = []
+        base = random_markov_model(random.Random(9), vocab_size=3, max_length=4)
+        m = Counting(1, {ctx: row.probs for ctx, row in base.rows.items()}, base.vocabulary, base.max_length)
+        seqs = arithmetic_sample(m, LatticeSpec(64, "paper", F(1, 7))).sequences()
+        seqs += ancestral_sample(m, 16, 0).sequences()
+        for seq in seqs:
+            assert sequence_logprob(m, seq) == sequence_logprob(base, seq)
+            assert code_interval_of_sequence(m, seq) == code_interval_of_sequence(base, seq)
+        assert enumerate_joint(m) == enumerate_joint(base)
+        assert calls == []
+
+    def test_markov_missing_row_is_the_same_error(self):
+        m = MarkovModel(1, {(): (F(1, 2), F(1, 2))}, Vocabulary(("A", "B")), 2)
+        with pytest.raises(InvalidModelError, match=r"missing transition row for context \(1,\)"):
+            decode_code(m, F(3, 4))
+        with pytest.raises(InvalidModelError, match=r"missing transition row for context \(1,\)"):
+            m.conditional((1,))
 
 
 def reference_logprob(model, tokens, chain=None):
@@ -604,6 +647,21 @@ class TestSplit:
                 assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
                 assert at.logprob == logprobs[k] + math.log(1.0 - residual)
         assert repr(dist.split(run)) == repr(expected)
+
+    def test_one_symbol_passes_the_run_through(self):
+        dist = CategoricalDistribution((F(0), F(1), F(0)))
+        run = [(2, F(0)), (0, 0.25), (3, F(2, 3)), (1, math.nextafter(1.0, 0.0))]
+        [(symbol, logprob, kids)] = dist.split(run)
+        assert (symbol, logprob) == (1, 0.0) and kids is run
+        # an order-1 chain whose rows after "a" and after "c" each keep one symbol
+        rows = {(): (F(1, 3), F(2, 3), F(0)), (0,): (F(0), F(1), F(0)), (1,): (F(1, 2), F(0), F(1, 2)),
+                (2,): (F(0), F(0), F(1))}
+        m = MarkovModel(1, rows, Vocabulary(("a", "b", "c")), 6)
+        cb = exact_codebook(enumerate_joint(m))
+        codes = lattice_codes(LatticeSpec(50, "paper", F(1, 7))) + cb.los + [(lo + hi) / 2 for lo, hi in zip(cb.los, cb.his)]
+        assert parallel_decode(m, codes).sequences() == [cb.decode(c) for c in codes]
+        floats = [float(c) for c in codes]
+        assert parallel_decode(m, floats).sequences() == [reference_decode(m, c, None) for c in floats]
 
     def test_float_distributions_build_no_cdf(self):
         dists = {}
