@@ -31,13 +31,6 @@ from .models import Nucleus, Temperature, TopK, load_model
 from .sampler import code_interval_of_sequence, draw, parallel_decode
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -59,12 +52,17 @@ def _chain(args, t: float | None):
     return chain or None
 
 
-def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
+def _lines(path: str) -> list[str]:
+    """The file's non-blank lines, stripped; a file that cannot be read is an InputError."""
     try:
         with open(path) as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+            return [ln.strip() for ln in f if ln.strip()]
     except OSError as e:
         raise InputError(str(e)) from None
+
+
+def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
+    lines = _lines(path)
     if not lines:
         raise InputError(f"{path}: no references")
     try:
@@ -103,11 +101,11 @@ def cmd_sample(args) -> int:
     seed = _seed(args)
     tag = f"{seed}:shift" if args.method == "arithmetic" else seed
     ss = draw(model, args.method, args.n, tag, _chain(args, args.temperature), args.lattice_mode)
-    lines = [] if ss.shift is None else [f"# shift_b={_fmt(ss.shift)}"]
+    lines = [] if ss.shift is None else [f"# shift_b={ss.shift}"]
     lines.append("index,code,sequence,logprob")
     for i, e in enumerate(ss.entries):
-        code = _fmt(e.code) if e.code is not None else ""
-        lines.append(f"{i},{code},{model.vocabulary.render(e.sequence)},{_fmt(e.logprob)}")
+        code = "" if e.code is None else e.code
+        lines.append(f"{i},{code},{model.vocabulary.render(e.sequence)},{e.logprob}")
     _write(args, lines)
     return 0
 
@@ -132,8 +130,8 @@ def cmd_diversity(args) -> int:
             divs.append(evaluation.ngram_diversity(ss.sequences(), eos=eos))
         k = len(refs)
         lines.append(
-            f"{args.method},{_fmt(t)},{args.n},{_fmt(sum(means) / k)},"
-            f"{_fmt(sum(mins) / k)},{_fmt(sum(maxes) / k)},{_fmt(sum(divs) / k)}"
+            f"{args.method},{t},{args.n},{sum(means) / k},"
+            f"{sum(mins) / k},{sum(maxes) / k},{sum(divs) / k}"
         )
     _write(args, lines)
     return 0
@@ -153,10 +151,7 @@ def cmd_variance(args) -> int:
         rep = evaluation.estimator_sd(
             model, args.method, n, chain, reward, args.reps, seed, args.lattice_mode
         )
-        lines.append(
-            f"{rep.method},{rep.n},{_fmt(rep.mean)},{_fmt(rep.sd)},"
-            f"{_fmt(rep.percentile_2_5)},{_fmt(rep.percentile_97_5)}"
-        )
+        lines.append(f"{rep.method},{rep.n},{rep.mean},{rep.sd},{rep.percentile_2_5},{rep.percentile_97_5}")
     _write(args, lines)
     return 0
 
@@ -164,12 +159,7 @@ def cmd_variance(args) -> int:
 def _load_step_function(path: str) -> evaluation.StepFunction:
     from . import evaluation
     pieces = []
-    try:
-        with open(path) as f:
-            rows = [ln.split() for ln in f if ln.strip()]
-    except OSError as e:
-        raise InputError(str(e)) from None
-    for row in rows:
+    for row in map(str.split, _lines(path)):
         if len(row) != 3:
             raise InputError(f"{path}: expected 'lo hi coefficient' lines")
         try:
@@ -190,15 +180,8 @@ def cmd_stepfn(args) -> int:
     lines = ["n_points,lattice_var,mc_var,exact_integral,c_on_hat,c_off_hat"]
     for n in args.n:
         res = evaluation.step_variance_experiment(f, n, args.lattice_mode, args.reps, seed)
-        if n >= 3:
-            c_on, c_off = evaluation.covariance_constants(n, args.reps, seed)
-            con, coff = _fmt(c_on), _fmt(c_off)
-        else:
-            con = coff = ""
-        lines.append(
-            f"{n},{_fmt(res['lattice_var'])},{_fmt(res['mc_var'])},"
-            f"{_fmt(res['exact_integral'])},{con},{coff}"
-        )
+        con, coff = evaluation.covariance_constants(n, args.reps, seed) if n >= 3 else ("", "")
+        lines.append(f"{n},{res['lattice_var']},{res['mc_var']},{res['exact_integral']},{con},{coff}")
     _write(args, lines)
     return 0
 
@@ -327,7 +310,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ParameterError("worker_count must be >= 1")
         return args.fn(args)
-    except (InputError, InvalidModelError, EnumerationBoundError, OSError, ParameterError) as e:
+    except (InputError, InvalidModelError, EnumerationBoundError, OSError, ParameterError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -236,6 +236,8 @@ def locate(c: Real, intervals: list[tuple[int, UnitInterval]]) -> int:
     pos = bisect.bisect_right([iv.lo for _, iv in intervals], c) - 1
     if pos < 0:
         raise ContractViolationError(f"code {c} below the partition")
+    if c >= intervals[-1][1].hi:
+        raise ContractViolationError(f"code {c} above the partition")
     return intervals[pos][0]
 
 

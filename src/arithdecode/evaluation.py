@@ -53,6 +53,8 @@ class StepFunction(_Record):
 
 def eval_step_function(f: StepFunction, c: Real) -> Real:
     """Coefficient of the (half-open) piece containing c."""
+    if not (0 <= c < 1):
+        raise ParameterError(f"code {c} outside [0, 1)")
     los = [iv.lo for iv, _ in f.pieces]
     i = bisect.bisect_right(los, c) - 1
     return f.pieces[i][1]
@@ -64,11 +66,7 @@ def step_integral(f: StepFunction) -> Real:
 
 def lattice_step_estimate(f: StepFunction, spec: LatticeSpec) -> Real:
     """Lattice-rule sample mean of f; exact when shift and pieces are rational."""
-    codes = lattice_codes(spec)
-    total = sum(eval_step_function(f, c) for c in codes)
-    if is_exact(total):
-        return Fraction(total, spec.n)
-    return total / spec.n
+    return _mean([eval_step_function(f, c) for c in lattice_codes(spec)])
 
 
 def step_variance_experiment(
@@ -146,11 +144,13 @@ def covariance_matrix_eigenvalues(n: int) -> tuple[float, list[float]]:
 def sample_mean(samples: SampleSet, reward: RewardFn) -> float:
     if not samples.entries:
         raise ParameterError("empty sample set")
-    vals = [reward(e.sequence) for e in samples.entries]
+    return _mean([reward(e.sequence) for e in samples.entries])
+
+
+def _mean(vals: list[Real]) -> Real:
+    """The mean of `vals`: a Fraction when their sum is exact, a float otherwise."""
     total = sum(vals)
-    if is_exact(total):
-        return Fraction(total, len(vals))
-    return total / len(vals)
+    return Fraction(total, len(vals)) if is_exact(total) else total / len(vals)
 
 
 class EstimatorReport(_Record):

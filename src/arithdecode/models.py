@@ -120,6 +120,8 @@ class SequenceModel(ABC):
 
 
 class Temperature(_Record):
+    """Called on a distribution, sharpens (t<1) or flattens (t>1) it: p_i ∝ p_i^(1/t)."""
+
     _fields = ("t",)
 
     def __init__(self, t: float):
@@ -127,8 +129,21 @@ class Temperature(_Record):
             raise ParameterError(f"temperature must be positive and finite, not {t}")
         self.__dict__["t"] = t
 
+    def __call__(self, dist: CategoricalDistribution) -> CategoricalDistribution:
+        t = self.t
+        if t == 1:
+            return dist
+        powered = [0.0 if p == 0 else float(p) ** (1.0 / t) for p in dist.probs]
+        if sum(powered) == 0:  # every term underflowed: divide by the mode first, which keeps it
+            logs = [math.log(p) if p else -math.inf for p in map(float, dist.probs)]
+            top = max(logs)
+            powered = [math.exp((x - top) / t) for x in logs]
+        return _renormalized(powered)
+
 
 class TopK(_Record):
+    """Called on a distribution, zeroes all but its k highest probabilities (ties by vocabulary order)."""
+
     _fields = ("k",)
 
     def __init__(self, k: int):
@@ -136,14 +151,34 @@ class TopK(_Record):
             raise ParameterError("top-k needs k >= 1")
         self.__dict__["k"] = k
 
+    def __call__(self, dist: CategoricalDistribution) -> CategoricalDistribution:
+        if self.k >= len(dist):
+            return dist
+        order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))
+        keep = set(order[: self.k])
+        return _renormalized([p if i in keep else type(p)(0) for i, p in enumerate(dist.probs)])
+
 
 class Nucleus(_Record):
+    """Called on a distribution, keeps its smallest probability-sorted symbol set of mass >= p."""
+
     _fields = ("p",)
 
     def __init__(self, p: float):
         if not (0 < p <= 1):
             raise ParameterError("nucleus p must lie in (0, 1]")
         self.__dict__["p"] = p
+
+    def __call__(self, dist: CategoricalDistribution) -> CategoricalDistribution:
+        order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))
+        keep: set[int] = set()
+        acc: Real = 0
+        for i in order:
+            keep.add(i)
+            acc += dist.probs[i]
+            if float(acc) >= self.p:  # float compare so 4/5 meets a threshold written as 0.8
+                break
+        return _renormalized([q if i in keep else type(q)(0) for i, q in enumerate(dist.probs)])
 
 
 Modifier = Union[Temperature, TopK, Nucleus]
@@ -158,55 +193,15 @@ def _renormalized(probs: list[Real]) -> CategoricalDistribution:
 
 
 def apply_temperature(dist: CategoricalDistribution, t: float) -> CategoricalDistribution:
-    """Sharpen (t<1) or flatten (t>1) a distribution: p_i ∝ p_i^(1/t)."""
-    if not (0 < t < math.inf):  # NaN fails too
-        raise ParameterError(f"temperature must be positive and finite, not {t}")
-    if t == 1:
-        return dist
-    powered = [0.0 if p == 0 else float(p) ** (1.0 / t) for p in dist.probs]
-    if sum(powered) == 0:  # every term underflowed: divide by the mode first, which keeps it
-        logs = [math.log(p) if p else -math.inf for p in map(float, dist.probs)]
-        top = max(logs)
-        powered = [math.exp((x - top) / t) for x in logs]
-    return _renormalized(powered)
+    return Temperature(t)(dist)
 
 
 def apply_top_k(dist: CategoricalDistribution, k: int) -> CategoricalDistribution:
-    """Zero all but the k highest probabilities (ties broken by vocabulary order)."""
-    if k < 1:
-        raise ParameterError("top-k needs k >= 1")
-    if k >= len(dist):
-        return dist
-    order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))
-    keep = set(order[:k])
-    kept = [p if i in keep else type(p)(0) for i, p in enumerate(dist.probs)]
-    return _renormalized(kept)
+    return TopK(k)(dist)
 
 
 def apply_nucleus(dist: CategoricalDistribution, p: float) -> CategoricalDistribution:
-    """Keep the smallest probability-sorted symbol set with cumulative mass >= p."""
-    if not (0 < p <= 1):
-        raise ParameterError("nucleus p must lie in (0, 1]")
-    order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))
-    keep: set[int] = set()
-    acc: Real = 0
-    for i in order:
-        keep.add(i)
-        acc += dist.probs[i]
-        if float(acc) >= p:  # float compare so 4/5 meets a threshold written as 0.8
-            break
-    kept = [q if i in keep else type(q)(0) for i, q in enumerate(dist.probs)]
-    return _renormalized(kept)
-
-
-def apply_modifier(dist: CategoricalDistribution, mod: Modifier) -> CategoricalDistribution:
-    if isinstance(mod, Temperature):
-        return apply_temperature(dist, mod.t)
-    if isinstance(mod, TopK):
-        return apply_top_k(dist, mod.k)
-    if isinstance(mod, Nucleus):
-        return apply_nucleus(dist, mod.p)
-    raise ParameterError(f"unknown modifier {mod!r}")
+    return Nucleus(p)(dist)
 
 
 def conditional_modified(
@@ -221,7 +216,7 @@ def conditional_modified(
     else:
         dist = model.conditional(prefix)
     for mod in chain or ():
-        dist = apply_modifier(dist, mod)
+        dist = mod(dist)
     return dist
 
 

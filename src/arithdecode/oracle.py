@@ -105,8 +105,7 @@ class ExactCodebook:
             yield seq, UnitInterval(lo, hi)
 
 
-def exact_codebook(joint: ExactJoint) -> ExactCodebook:
-    return ExactCodebook(joint)
+exact_codebook = ExactCodebook
 
 
 def exact_expectation(joint: ExactJoint, reward: Reward) -> Fraction:

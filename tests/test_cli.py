@@ -1,5 +1,6 @@
 """CLI commands: CSV determinism, experiment protocols, exit codes."""
 
+import itertools
 import json
 import math
 import os
@@ -7,11 +8,17 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arithdecode
 from arithdecode.cli import main
+from util import all_complete_sequences
 
 BERNOULLI = {
     "type": "markov",
@@ -423,3 +430,88 @@ def test_non_integer_seed_variable_is_one_error_line(model_file, monkeypatch, ca
     monkeypatch.setenv("ARITH_DECODE_SEED", "abc")
     assert run(["sample", "--model", model_file(BERNOULLI), "--n", "2"]) == 1
     assert "ARITH_DECODE_SEED" in one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# Robustness fuzz: generated model files, flags and subcommands
+
+
+def _weights(draw, count: int) -> list[str]:
+    """`count` probabilities as exact strings; some are zero, and all are "0" when every weight is."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    total = sum(weights) or 1
+    return [str(Fraction(w, total)) for w in weights]
+
+
+@st.composite
+def fuzz_models(draw) -> dict:
+    """A Markov file of order 0-2 with some rows missing, a tabular file with
+    some zero weights, or a synthetic file over an extreme range of peakedness."""
+    kind = draw(st.sampled_from(["markov", "tabular", "synthetic"]))
+    size = draw(st.sampled_from([2, 3, 8, 9, 17]) if kind == "synthetic" else st.integers(2, 3))
+    spec = {"type": kind, "max_length": draw(st.integers(1, 3)), "eos": draw(st.sampled_from([None, size - 1, 0]))}
+    if kind == "synthetic":
+        peak = draw(st.floats(1e-300, 1e308))
+        return dict(spec, seed=draw(st.integers(0, 99)), vocab_size=size, peakedness=peak)
+    symbols = list("abc"[:size])
+    spec["vocabulary"] = symbols
+    if kind == "tabular":
+        seqs = all_complete_sequences(size, spec["max_length"], spec["eos"])
+        probs = _weights(draw, len(seqs))
+        return dict(spec, table={" ".join(symbols[t] for t in s): p for s, p in zip(seqs, probs)})
+    order = draw(st.integers(0, 2))
+    contexts = [ctx for k in range(order + 1) for ctx in itertools.product(symbols, repeat=k)]
+    kept = draw(st.lists(st.sampled_from([True] * 7 + [False]), min_size=len(contexts), max_size=len(contexts)))
+    rows = {" ".join(ctx): _weights(draw, size) for ctx, keep in zip(contexts, kept) if keep}
+    return dict(spec, order=order, rows=rows)
+
+
+@st.composite
+def fuzz_commands(draw, symbols: list[str]) -> tuple[list[str], str]:
+    """argv after `--model`, and the text of the reference file it may name."""
+    command = draw(st.sampled_from(["sample", "diversity", "variance", "oracle-check"]))
+    if command == "oracle-check":
+        return [command, "--n", draw(st.sampled_from(["1", "3", "0"])), "--bound", "2000"], ""
+    argv = [command, "--method", draw(st.sampled_from(["arithmetic", "ancestral"])), "--seed", "1"]
+    temperature = st.sampled_from(["0.5", "1.0", "3", "1e-320", "1e300", "0", "-1", "inf", "nan"])
+    flags = {
+        "--top-k": st.sampled_from(["1", "2", "5", "0", "-1", "1.5"]),
+        "--nucleus-p": st.sampled_from(["0.9", "1", "1e-300", "0", "1.5", "nan"]),
+        "--temperature": temperature,
+        "--lattice-mode": st.sampled_from(["paper", "uniform"]),
+    }
+    if command == "diversity":
+        flags["--temperature"] = st.lists(temperature, min_size=1, max_size=2).map(",".join)
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if command == "variance":
+        argv += ["--n", draw(st.sampled_from(["1", "2,5"])), "--reps", "2"]
+    else:
+        argv += ["--n", draw(st.sampled_from(["1", "4", "9"]))]
+    refs = draw(st.lists(st.lists(st.sampled_from(symbols), min_size=1, max_size=3).map(" ".join), min_size=1,
+                         max_size=2))
+    unknown = ["zz"] * (draw(st.integers(0, 7)) == 7)
+    return argv, "\n".join(refs + unknown) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_exits_cleanly(data, tmp_path_factory):
+    """Every generated run exits 0 or 2 with nothing on stderr, or 1 with one `error:` line."""
+    spec = data.draw(fuzz_models())
+    symbols = spec.get("vocabulary") or [f"t{i}" for i in range(spec["vocab_size"])]
+    argv, refs = data.draw(fuzz_commands(symbols))
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "fuzz.json").write_text(json.dumps(spec))
+    (tmp / "fuzz_refs.txt").write_text(refs)
+    if argv[0] in ("diversity", "variance"):
+        argv += ["--reference", str(tmp / "fuzz_refs.txt")]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--model", str(tmp / "fuzz.json")])
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and out.getvalue() == "", (argv, spec, lines)
+    else:
+        assert code in (0, 2) and lines == [], (argv, spec, code, lines)

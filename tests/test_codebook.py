@@ -101,6 +101,11 @@ class TestLocate:
     def test_near_one(self):
         assert locate(F(999, 1000), self.ivs) == 1
 
+    @pytest.mark.parametrize("c, where", [(F(-1, 4), "below"), (F(1), "above"), (F(3, 2), "above")])
+    def test_code_outside_the_partition_rejected(self, c, where):
+        with pytest.raises(ContractViolationError, match=f"code {c} {where} the partition"):
+            locate(c, self.ivs)
+
     @given(exact_dists(), st.fractions(min_value=0, max_value=1).filter(lambda x: x < 1))
     def test_locate_interval_consistency(self, dist, frac):
         ivs = cdf_intervals(dist)

@@ -123,6 +123,12 @@ class TestStepFunctions:
         const = StepFunction(((UnitInterval(F(0), F(1)), F(7)),))
         assert eval_step_function(const, 0.9) == 7
 
+    @pytest.mark.parametrize("c", [-0.25, F(-1, 4), 1, 1.5, math.nan])
+    def test_eval_outside_unit_interval_rejected(self, c):
+        pieces = ((UnitInterval(F(0), F(1, 2)), 3), (UnitInterval(F(1, 2), F(1)), 7))
+        with pytest.raises(ParameterError, match=r"outside \[0, 1\)"):
+            eval_step_function(StepFunction(pieces), c)
+
     def test_invalid_pieces_rejected(self):
         with pytest.raises(ParameterError):
             StepFunction(((UnitInterval(F(0), F(1, 2)), F(1)),))  # gap at the top
