@@ -12,14 +12,13 @@ or starting the CLI does not pay for it.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .codebook import LatticeSpec, Real, UnitInterval, _Record, is_exact, lattice_codes
+from .codebook import LatticeSpec, Real, UnitInterval, _Record, is_exact, lattice_codes, locate
 from .errors import ParameterError
 from .models import ModifierChain, SequenceModel, Tokens
 from .sampler import SampleSet, draw
@@ -55,9 +54,7 @@ def eval_step_function(f: StepFunction, c: Real) -> Real:
     """Coefficient of the (half-open) piece containing c."""
     if not (0 <= c < 1):
         raise ParameterError(f"code {c} outside [0, 1)")
-    los = [iv.lo for iv, _ in f.pieces]
-    i = bisect.bisect_right(los, c) - 1
-    return f.pieces[i][1]
+    return locate(c, [(a, iv) for iv, a in f.pieces])
 
 
 def step_integral(f: StepFunction) -> Real:

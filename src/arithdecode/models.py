@@ -4,8 +4,9 @@ A model exposes conditional distributions over the next token given a prefix.
 Every walk down the prefix trie (the decoder, `sequence_logprob`, a sequence's
 codebook interval, the oracle's enumeration) carries a per-prefix model state
 (`start`, `advance`, `conditional_at`), so a child's conditional extends its
-parent's work, as a Transformer extends its per-beam KV cache.  By default
-the state is the prefix itself and `conditional_at` asks `conditional`.
+parent's work, as a Transformer extends its per-beam KV cache.  A model
+overrides `conditional`, or `conditional_at` with the state hooks, and the
+base derives the other; by default the state is the prefix itself.
 
 Reference implementations: a tabular model backed by an explicit joint table,
 a Markov model with fixed-order transition rows, and a seeded synthetic LM
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -74,15 +74,21 @@ class Vocabulary(_Record):
         return tuple(self.index_of(s) for s in text.split())
 
 
-class SequenceModel(ABC):
+class SequenceModel:
     """Conditional-distribution provider over prefixes of bounded length."""
 
     vocabulary: Vocabulary
     max_length: int
 
-    @abstractmethod
     def conditional(self, prefix: Tokens) -> CategoricalDistribution:
         """Distribution of the next token given `prefix` (prefix not complete)."""
+        prefix = tuple(prefix)
+        if self.is_complete(prefix):
+            raise InvalidPrefixError(f"prefix {prefix} is complete")
+        state = self.start()
+        for t, tok in enumerate(prefix):
+            state = self.advance(state, prefix[:t], tok)
+        return self.conditional_at(state, prefix)
 
     def start(self):
         """The state of the empty prefix."""
@@ -273,13 +279,10 @@ class TabularModel(SequenceModel):
                 self._mass[pre] = self._mass.get(pre, 0) + p
         self._conditionals: dict[Tokens, CategoricalDistribution] = {}
 
-    def conditional(self, prefix: Tokens) -> CategoricalDistribution:
-        prefix = tuple(prefix)
+    def conditional_at(self, state: Tokens, prefix: Tokens) -> CategoricalDistribution:
         dist = self._conditionals.get(prefix)
         if dist is not None:
             return dist
-        if self.is_complete(prefix):
-            raise InvalidPrefixError(f"prefix {prefix} is complete")
         mass = self._mass.get(prefix, 0)
         if mass == 0:
             raise InvalidPrefixError(f"prefix {prefix} has zero probability")
@@ -309,12 +312,6 @@ class MarkovModel(SequenceModel):
             if len(row) != len(vocabulary):
                 raise InvalidModelError(f"row for context {ctx} has wrong arity")
             self.rows[tuple(ctx)] = CategoricalDistribution(tuple(row))
-
-    def conditional(self, prefix: Tokens) -> CategoricalDistribution:
-        prefix = tuple(prefix)
-        if self.is_complete(prefix):
-            raise InvalidPrefixError(f"prefix {prefix} is complete")
-        return self.conditional_at(prefix, prefix)
 
     def conditional_at(self, state: Tokens, prefix: Tokens) -> CategoricalDistribution:
         ctx = prefix[-self.order:] if self.order else ()

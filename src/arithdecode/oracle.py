@@ -21,8 +21,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .codebook import UnitInterval, _Record
-from .errors import DEFAULT_BOUND, EnumerationBoundError, InvalidModelError, ParameterError
+from .codebook import LatticeSpec, UnitInterval, _Record, lattice_codes
+from .errors import DEFAULT_BOUND, EmptyIntervalError, EnumerationBoundError, InvalidModelError, ParameterError
 from .models import ModifierChain, SequenceModel, Tokens, conditional_modified
 
 Reward = Callable[[Tokens], Fraction]
@@ -90,7 +90,10 @@ class ExactCodebook:
         self._nums = [lo.numerator * (self._den // lo.denominator) for lo in self.los]
 
     def interval_of(self, tokens: Tokens) -> UnitInterval:
-        i = self.sequences.index(tokens)
+        try:
+            i = self.sequences.index(tokens)
+        except ValueError:
+            raise EmptyIntervalError(f"sequence {tokens} owns no codebook interval") from None
         return UnitInterval(self.los[i], self.his[i])
 
     def decode(self, c) -> Tokens:
@@ -193,15 +196,10 @@ def full_period_average(
     form the 1/lcm(n, m) grid, each point hit gcd(n, m) times; that grid
     refines the codebook too, so the average is again the exact integral.
     """
+    base = lattice_codes(LatticeSpec(n, mode, Fraction(0)))  # the unshifted codes
     m = _grid_size(codebook, n, min_k, bound)
-    if mode == "paper":  # code i/(n+1) + j/m, i = 1..n
-        den = m
-        starts = [i * (den // (n + 1)) for i in range(1, n + 1)]
-    elif mode == "uniform":  # code i/n + j/m, i = 0..n-1
-        den = math.lcm(m, n)
-        starts = [i * (den // n) for i in range(n)]
-    else:
-        raise ParameterError(f"unknown lattice mode {mode!r}")
+    den = math.lcm(m, *(c.denominator for c in base))
+    starts = [c.numerator * (den // c.denominator) for c in base]
     step = den // m  # shift j/m adds j*step to every numerator
     scale = den // codebook._den
     decode = functools.partial(bisect.bisect_right, [num * scale for num in codebook._nums])

@@ -35,6 +35,7 @@ from arithdecode import (
 )
 from arithdecode.cli import main
 from arithdecode.errors import (
+    EmptyIntervalError,
     InvalidDistributionError,
     InvalidModelError,
     InvalidPrefixError,
@@ -116,6 +117,9 @@ CASES = {
                               "enumerate_joint needs exact (rational) conditionals"),
     "codebook-decode-one": (lambda t: ExactCodebook(enumerate_joint(bernoulli_model())).decode(1), ParameterError,
                             "code 1 outside [0, 1)"),
+    "codebook-interval-empty": (lambda t: ExactCodebook(enumerate_joint(
+                                    MarkovModel(0, {(): (F(1), F(0))}, AB, 2))).interval_of((1, 1)),
+                                EmptyIntervalError, "sequence (1, 1) owns no codebook interval"),
     "full-period-mode": (lambda t: full_period_average(ExactCodebook(enumerate_joint(bernoulli_model())), 2,
                                                        lambda s: 1, mode="bogus"),
                          ParameterError, "unknown lattice mode 'bogus'"),

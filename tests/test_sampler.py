@@ -324,6 +324,29 @@ class TestModelState:
         assert enumerate_joint(m) == enumerate_joint(base)
         assert calls == []
 
+    def test_model_of_state_hooks_alone(self):
+        class Counting(SequenceModel):
+            """P(A) = 1/(2 + s) after s tokens; only the state hooks are defined."""
+
+            vocabulary, max_length = Vocabulary(("A", "B")), 4
+
+            def start(self):
+                return 0
+
+            def advance(self, state, prefix, token):
+                return state + 1
+
+            def conditional_at(self, state, prefix):
+                return CategoricalDistribution((F(1, 2 + state), 1 - F(1, 2 + state)))
+
+        m, spec = Counting(), LatticeSpec(8, "paper", F(1, 5))
+        codebook = exact_codebook(enumerate_joint(m))
+        assert arithmetic_sample(m, spec).sequences() == [codebook.decode(c) for c in sorted(lattice_codes(spec))]
+        for prefix in itertools.chain.from_iterable(itertools.product(range(2), repeat=d) for d in range(4)):
+            assert m.conditional(prefix) == m.conditional_at(len(prefix), prefix)
+        with pytest.raises(InvalidPrefixError, match=r"prefix \(0, 1, 0, 1\) is complete"):
+            m.conditional((0, 1, 0, 1))
+
     def test_markov_missing_row_is_the_same_error(self):
         m = MarkovModel(1, {(): (F(1, 2), F(1, 2))}, Vocabulary(("A", "B")), 2)
         with pytest.raises(InvalidModelError, match=r"missing transition row for context \(1,\)"):
