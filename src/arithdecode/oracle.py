@@ -196,8 +196,8 @@ def full_period_average(
     form the 1/lcm(n, m) grid, each point hit gcd(n, m) times; that grid
     refines the codebook too, so the average is again the exact integral.
     """
-    base = lattice_codes(LatticeSpec(n, mode, Fraction(0)))  # the unshifted codes
     m = _grid_size(codebook, n, min_k, bound)
+    base = lattice_codes(LatticeSpec(n, mode, Fraction(0)))  # the unshifted codes
     den = math.lcm(m, *(c.denominator for c in base))
     starts = [c.numerator * (den // c.denominator) for c in base]
     step = den // m  # shift j/m adds j*step to every numerator

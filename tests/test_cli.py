@@ -298,6 +298,13 @@ class TestOracleCheck:
         assert time.perf_counter() - start < 1.0
         assert "shift grid" in one_error_line(capsys)
 
+    def test_bound_checked_before_the_lattice_is_built(self, model_file, capsys):
+        # 10^8 lattice codes would take minutes to build; the bound refuses them first
+        start = time.perf_counter()
+        assert run(["oracle-check", "--model", model_file(BERNOULLI), "--n", "100000000", "--bound", "1000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "shift grid" in one_error_line(capsys)
+
     def test_sweep_runs_at_the_given_n(self, model_file, capsys):
         # lcm(21, 25) = 525 shifts at n = 20; n = 16 would sweep 425
         assert run(["oracle-check", "--model", model_file(BERNOULLI), "--n", "20", "--bound", "500"]) == 1
