@@ -71,18 +71,6 @@ def _load_references(path: str, vocabulary) -> list[tuple[int, ...]]:
         raise InputError(f"{path}: {e}") from None
 
 
-def _bleu_reward(eos):
-    """BLEU of a decoded sequence, EOS stripped, against a reference.
-    `evaluation.sentence_bleu` scores each distinct pair once, so the many
-    copies of a few sequences in a batch cost one score each."""
-    from . import evaluation
-
-    def reward(tokens, reference) -> float:
-        return evaluation.sentence_bleu(evaluation.strip_eos(tokens, eos), reference)
-
-    return reward
-
-
 def _write(args, lines: list[str]):
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -116,14 +104,13 @@ def cmd_diversity(args) -> int:
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
     eos = model.vocabulary.eos
-    bleu = _bleu_reward(eos)
     lines = ["method,temperature,n,mean_reward,min_reward,max_reward,ngram_diversity"]
     for t in args.temperature:
         chain = _chain(args, t)
         means, mins, maxes, divs = [], [], [], []
         for i, ref in enumerate(refs):
             ss = draw(model, args.method, args.n, f"{seed}:{t}:{i}", chain, args.lattice_mode)
-            rewards = [bleu(s, ref) for s in ss.sequences()]
+            rewards = [evaluation.sentence_bleu(evaluation.strip_eos(s, eos), ref) for s in ss.sequences()]
             means.append(sum(rewards) / len(rewards))
             mins.append(min(rewards))
             maxes.append(max(rewards))
@@ -142,10 +129,9 @@ def cmd_variance(args) -> int:
     model = load_model(args.model)
     seed = _seed(args)
     refs = _load_references(args.reference, model.vocabulary)
-    target = refs[0]
+    target, eos = refs[0], model.vocabulary.eos
     chain = _chain(args, args.temperature)
-    bleu = _bleu_reward(model.vocabulary.eos)
-    reward = lambda s: bleu(s, target)
+    reward = lambda s: evaluation.sentence_bleu(evaluation.strip_eos(s, eos), target)
     lines = ["method,n,mean,sd,p2_5,p97_5"]
     for n in args.n:
         rep = evaluation.estimator_sd(
@@ -281,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("variance", help="estimator SD sweep")
     common(sp, n_list=True)
     sp.add_argument("--temperature", type=float, default=None)
-    sp.add_argument("--reference", required=True)
+    sp.add_argument("--reference", required=True, help="tokenized references; only the first line is scored")
     sp.add_argument("--reps", type=int, default=100)
     sp.set_defaults(fn=cmd_variance)
 

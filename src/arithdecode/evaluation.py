@@ -203,10 +203,6 @@ def strip_eos(tokens: Tokens, eos: int | None) -> Tokens:
     return tuple(t for t in tokens if t != eos) if eos is not None else tuple(tokens)
 
 
-def _ngrams(tokens: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def ngram_diversity(
     sequences: Sequence[Tokens], max_n: int = 4, eos: int | None = None
 ) -> float:
@@ -225,7 +221,7 @@ def ngram_diversity(
     for n in range(1, max_n + 1):
         total = sum(k * max(0, len(s) - n + 1) for s, k in counts)
         if total:
-            d += len({g for s, _ in counts for g in _ngrams(s, n)}) / total
+            d += len({s[i : i + n] for s, _ in counts for i in range(len(s) - n + 1)}) / total
     return d
 
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 Tokens = tuple[int, ...]
+_NO_STATE = object()  # `conditional_modified`'s "no state given": any value, None included, may be a state
 
 
 class Vocabulary(_Record):
@@ -211,11 +212,11 @@ def apply_nucleus(dist: CategoricalDistribution, p: float) -> CategoricalDistrib
 
 
 def conditional_modified(
-    model: SequenceModel, prefix: Tokens, chain: ModifierChain | None, state=None
+    model: SequenceModel, prefix: Tokens, chain: ModifierChain | None, state=_NO_STATE
 ) -> CategoricalDistribution:
     """The model conditional with the modifier chain applied left to right; given
     the model's `state` for `prefix`, read through `conditional_at` (prefix not complete)."""
-    if state is not None:
+    if state is not _NO_STATE:
         dist = model.conditional_at(state, prefix)
     elif model.is_complete(prefix):
         raise InvalidPrefixError(f"prefix {prefix} is already complete")

@@ -36,6 +36,8 @@ class ExactJoint(_Record):
     def __init__(self, entries: tuple[tuple[Tokens, Fraction], ...]):
         if sum(p for _, p in entries) != 1:
             raise InvalidModelError("joint probabilities do not sum to 1")
+        if any(p < 0 for _, p in entries):
+            raise InvalidModelError("negative joint probability")
         self.__dict__["entries"] = entries
 
 
@@ -44,28 +46,28 @@ def enumerate_joint(
 ) -> ExactJoint:
     """Every positive-probability complete sequence, by a DFS on an explicit stack.
 
-    Requires an exact model (Fraction conditionals after modifiers); DFS in
-    vocabulary-index order yields dictionary order for free.
+    Requires an exact model (Fraction conditionals after modifiers).  No
+    complete sequence is a prefix of another, so sorted tuples are in
+    dictionary order.
     """
     out: list[tuple[Tokens, Fraction]] = []
-    # (prefix, its parent, the parent's model state, its mass)
-    stack = [((), None, None, Fraction(1))]
+    stack = [((), model.start(), Fraction(1))]  # (incomplete prefix, its model state, its mass)
     while stack:
-        prefix, parent, state, mass = stack.pop()
-        if model.is_complete(prefix):
-            if len(out) >= bound:
-                raise EnumerationBoundError(f"more than {bound} sequences")
-            out.append((prefix, mass))
-            continue
-        state = model.start() if parent is None else model.advance(state, parent, prefix[-1])
+        prefix, state, mass = stack.pop()
         dist = conditional_modified(model, prefix, chain, state)
         if not dist.is_exact:
             raise ParameterError("enumerate_joint needs exact (rational) conditionals")
-        # Pushed in reverse so the lowest symbol pops first.
-        for v in reversed(range(len(dist))):
-            if dist.probs[v] > 0:
-                stack.append((prefix + (v,), prefix, state, mass * Fraction(dist.probs[v])))
-    return ExactJoint(tuple(out))
+        for v, p in enumerate(dist.probs):
+            if p == 0:
+                continue
+            child = prefix + (v,)
+            if not model.is_complete(child):
+                stack.append((child, model.advance(state, prefix, v), mass * p))
+            elif len(out) < bound:
+                out.append((child, mass * p))
+            else:
+                raise EnumerationBoundError(f"more than {bound} sequences")
+    return ExactJoint(tuple(sorted(out)))
 
 
 class ExactCodebook:
@@ -131,17 +133,13 @@ def prefix_probabilities(joint: ExactJoint) -> dict[Tokens, Fraction]:
 
 
 def prefix_intervals(joint: ExactJoint) -> dict[Tokens, UnitInterval]:
-    """Exact codebook interval of every prefix (contiguous in dictionary order)."""
+    """Exact codebook interval of every prefix: contiguous in dictionary order, it
+    runs from its first sequence's lo to its last sequence's hi."""
     cb = ExactCodebook(joint)
-    out: dict[Tokens, tuple[Fraction, Fraction]] = {}
+    out: dict[Tokens, list[Fraction]] = {}
     for seq, lo, hi in zip(cb.sequences, cb.los, cb.his):
         for i in range(len(seq) + 1):
-            pre = seq[:i]
-            if pre in out:
-                plo, phi = out[pre]
-                out[pre] = (min(plo, lo), max(phi, hi))
-            else:
-                out[pre] = (lo, hi)
+            out.setdefault(seq[:i], [lo, hi])[1] = hi
     return {pre: UnitInterval(lo, hi) for pre, (lo, hi) in out.items()}
 
 

@@ -8,11 +8,12 @@ of resolution inside the current prefix interval but may disagree with the
 exact oracle for codes within ~2^-40 of an interval boundary.
 
 Each step is one `CategoricalDistribution.split` (see `codebook`).  The walk
-carries the model's state next to each prefix (see `SequenceModel.advance`),
-so each distinct prefix costs one `advance` from its parent's state plus one
-`conditional_at`, not a read of the whole prefix.  `code_interval_of_sequence`,
-the inverse map, walks one sequence through the same states and narrows on
-the same cuts in exact arithmetic, so encode and decode share one partition.
+carries the model's state next to each incomplete prefix (see
+`SequenceModel.advance`), so each distinct one costs one `advance` from its
+parent's state plus one `conditional_at`, not a read of the whole prefix.
+`code_interval_of_sequence`, the inverse map, walks one sequence through the
+same states and narrows on the same cuts in exact arithmetic, so encode and
+decode share one partition.
 
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
@@ -69,19 +70,18 @@ def _walk(
             raise ParameterError(f"code {c} outside [0, 1)")
     seqs: list = [None] * len(codes)
     logprobs: list = [None] * len(codes)
-    # (prefix, its parent, the parent's model state, its log-probability, [(input
-    # index, renormalized code)]); a prefix gets its own state once it proves incomplete.
-    stack = [((), None, None, 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
+    # (incomplete prefix, its model state, its log-probability, [(input index, renormalized
+    # code)]); a child gets its state when it is made, or is recorded if complete.
+    stack = [((), model.start(), 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
     while stack:
-        tokens, parent, state, logprob, run = stack.pop()
-        if model.is_complete(tokens):
-            for i, _ in run:
-                seqs[i], logprobs[i] = tokens, logprob
-            continue
-        state = model.start() if parent is None else model.advance(state, parent, tokens[-1])
-        # Pushed in reverse so the lowest symbol is expanded first.
-        for k, symbol_logprob, kids in reversed(conditional_modified(model, tokens, chain, state).split(run)):
-            stack.append((tokens + (k,), tokens, state, logprob + symbol_logprob, kids))
+        tokens, state, logprob, run = stack.pop()
+        for k, symbol_logprob, kids in conditional_modified(model, tokens, chain, state).split(run):
+            child, lp = tokens + (k,), logprob + symbol_logprob
+            if model.is_complete(child):
+                for i, _ in kids:
+                    seqs[i], logprobs[i] = child, lp
+            else:
+                stack.append((child, model.advance(state, tokens, k), lp, kids))
     return seqs, logprobs
 
 

@@ -113,6 +113,8 @@ CASES = {
     "serialize-foreign": (lambda t: model_to_dict(Foreign()), InvalidModelError, "cannot serialize Foreign"),
     "joint-not-one": (lambda t: ExactJoint((((0,), F(1, 2)),)), InvalidModelError,
                       "joint probabilities do not sum to 1"),
+    "joint-negative": (lambda t: ExactJoint((((0,), F(3, 2)), ((1,), F(-1, 2)))), InvalidModelError,
+                       "negative joint probability"),
     "enumerate-float-model": (lambda t: enumerate_joint(SyntheticLM(0, 2, 1)), ParameterError,
                               "enumerate_joint needs exact (rational) conditionals"),
     "codebook-decode-one": (lambda t: ExactCodebook(enumerate_joint(bernoulli_model())).decode(1), ParameterError,

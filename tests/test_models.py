@@ -308,12 +308,15 @@ class TestModelFiles:
     def test_markov_and_synthetic_roundtrip(self, tmp_path):
         rows = {(): (F(3, 5), F(2, 5)), (0,): (F(1, 2), F(1, 2)), (1,): (F(1), F(0))}
         mm = MarkovModel(1, rows, Vocabulary(("A", "B")), 3)
+        thirds = MarkovModel(0, {(): (F(1, 3), F(2, 3))}, Vocabulary(("A", "B")), 2)
         sm = SyntheticLM(11, 5, 4, peakedness=2.0)
-        for m in (mm, sm):
+        for m in (mm, thirds, sm):
             path = tmp_path / "m.json"
             save_model(m, str(path))
             loaded = load_model(str(path))
             assert loaded.conditional(()).probs == m.conditional(()).probs
+            if isinstance(m, MarkovModel):
+                assert loaded.rows == m.rows
 
     def test_decimal_strings_parse_exactly(self):
         spec = {
@@ -337,3 +340,5 @@ class TestModelFiles:
         m = TabularModel(TestTabularModel.table, Vocabulary(("A", "B")), 2)
         d = model_to_dict(m)
         assert d["table"]["A A"] == "0.36"
+        thirds = MarkovModel(0, {(): (F(1, 3), F(2, 3))}, Vocabulary(("A", "B")), 2)
+        assert model_to_dict(thirds)["rows"][""] == ["1/3", "2/3"]

@@ -347,6 +347,39 @@ class TestModelState:
         with pytest.raises(InvalidPrefixError, match=r"prefix \(0, 1, 0, 1\) is complete"):
             m.conditional((0, 1, 0, 1))
 
+    def test_none_is_a_state(self):
+        class Thirds(SequenceModel):
+            """P(A) = 1/3 at every step, and every state is None."""
+
+            vocabulary, max_length = Vocabulary(("A", "B")), 6
+
+            def start(self):
+                return None
+
+            def advance(self, state, prefix, token):
+                advanced[prefix + (token,)] += 1
+
+            def conditional_at(self, state, prefix):
+                return CategoricalDistribution((F(1, 3), F(2, 3)))
+
+            def conditional(self, prefix):
+                raise AssertionError(f"re-read {prefix} from the empty prefix")
+
+        advanced, m, spec = Counter(), Thirds(), LatticeSpec(64, "paper", F(1, 5))
+        codebook = exact_codebook(enumerate_joint(m))
+        assert len(codebook.sequences) == 64
+        advanced.clear()
+        seqs = arithmetic_sample(m, spec).sequences()
+        assert seqs == [codebook.decode(c) for c in sorted(lattice_codes(spec))]
+        assert advanced == Counter({s[:d] for s in seqs for d in range(1, len(s))})
+        seq = (0, 1, 1, 0, 1, 0)
+        for read in (sequence_logprob, code_interval_of_sequence):
+            advanced.clear()
+            read(m, seq)
+            assert advanced == Counter(seq[:d] for d in range(1, 6))
+        assert sequence_logprob(m, seq) == pytest.approx(3 * math.log(F(2, 9)))
+        assert code_interval_of_sequence(m, seq) == codebook.interval_of(seq)
+
     def test_markov_missing_row_is_the_same_error(self):
         m = MarkovModel(1, {(): (F(1, 2), F(1, 2))}, Vocabulary(("A", "B")), 2)
         with pytest.raises(InvalidModelError, match=r"missing transition row for context \(1,\)"):
