@@ -6,8 +6,9 @@ with n+1 points the lattice estimator still beats naive Monte Carlo because
 the pairwise covariance matrix of the indicator sums (c_on on the diagonal,
 c_off off it) is negative semidefinite.
 
-numpy is imported inside the functions that use it, so importing the package
-or starting the CLI does not pay for it.
+numpy loads only inside the step-function experiments, so importing the package
+or running any other command does not pay for it: `estimator_sd` takes numpy's
+statistics bit for bit in pure Python (`_sum`, `_percentile`).
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ class StepFunction(_Record):
 
 def eval_step_function(f: StepFunction, c: Real) -> Real:
     """Coefficient of the (half-open) piece containing c."""
-    if not (0 <= c < 1):
-        raise ParameterError(f"code {c} outside [0, 1)")
-    return locate(c, [(a, iv) for iv, a in f.pieces])
+    return _step_values(f, [c])[0]
+
+
+def _step_values(f: StepFunction, codes: list[Real]) -> list[Real]:
+    """f at each code; the pieces become `locate`'s runs once per call."""
+    runs = [(a, iv) for iv, a in f.pieces]
+    for c in codes:
+        if not (0 <= c < 1):
+            raise ParameterError(f"code {c} outside [0, 1)")
+    return [locate(c, runs) for c in codes]
 
 
 def step_integral(f: StepFunction) -> Real:
@@ -63,7 +71,7 @@ def step_integral(f: StepFunction) -> Real:
 
 def lattice_step_estimate(f: StepFunction, spec: LatticeSpec) -> Real:
     """Lattice-rule sample mean of f; exact when shift and pieces are rational."""
-    return _mean([eval_step_function(f, c) for c in lattice_codes(spec)])
+    return _mean(_step_values(f, lattice_codes(spec)))
 
 
 def step_variance_experiment(
@@ -174,24 +182,50 @@ def estimator_sd(
     Each rep's batch comes from `draw` with the tag f"{seed}:{rep}", so the
     report is a pure function of the arguments.
     """
-    import numpy as np
-
     if reps < 2:
         raise ParameterError("reps must be >= 2")
     ests = [
         float(sample_mean(draw(model, method, n, f"{seed}:{rep}", chain, lattice_mode), reward))
         for rep in range(reps)
     ]
-    arr = np.array(ests)
+    mean = _sum(ests) / reps
     return EstimatorReport(
         method=method,
         n=n,
         reps=reps,
-        mean=float(arr.mean()),
-        sd=float(arr.std(ddof=1)),
-        percentile_2_5=float(np.percentile(arr, 2.5)),
-        percentile_97_5=float(np.percentile(arr, 97.5)),
+        mean=mean,
+        sd=math.sqrt(_sum([(x - mean) * (x - mean) for x in ests]) / (reps - 1)),
+        percentile_2_5=_percentile(ests, 2.5),
+        percentile_97_5=_percentile(ests, 97.5),
     )
+
+
+def _sum(xs: list[float]) -> float:
+    """numpy's float64 `add.reduce`, bit for bit: halves split at a multiple of 8
+    above 128 items, eight running sums from 0.0 below; other orders round differently."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    m, r = n - n % 8, [0.0] * 8
+    for i in range(0, m, 8):
+        r = [a + x for a, x in zip(r, xs[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[m:]:
+        total += x
+    return total
+
+
+def _percentile(xs: list[float], q: float) -> float:
+    """`np.percentile(xs, q)`, bit for bit: the linear method with numpy's two-sided
+    lerp, NaN if any item is; a zero read between tied 0.0 and -0.0 may differ in sign."""
+    if any(map(math.isnan, xs)):
+        return math.nan
+    s = sorted(xs)
+    v = (len(s) - 1) * (q / 100)
+    i = math.floor(v)
+    t, a, b = v - i, s[i], s[i + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI commands: CSV determinism, experiment protocols, exit codes."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -143,9 +144,22 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
-def test_sample_imports_only_what_it_runs(tmp_path):
-    # -S: without `site`, only the interpreter's own start-up and the program import anything
+def _probe(code: str):
+    """Run `code` in a fresh interpreter and return the JSON it prints.
+
+    -S: without `site`, only the interpreter's own start-up and the program import
+    anything. numpy's directory goes on the path so that a command that needs it
+    loads it rather than failing.
+    """
     src = os.path.dirname(os.path.dirname(arithdecode.__file__))
+    site_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, site_dir]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_sample_imports_only_what_it_runs(tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden", "markov.json")
     out = tmp_path / "out.csv"
     unused = ["arithdecode.oracle", "arithdecode.evaluation", "dataclasses", "inspect", "hashlib", "numpy"]
@@ -155,10 +169,25 @@ def test_sample_imports_only_what_it_runs(tmp_path):
         f"code = cli.main(['sample', '--model', {golden!r}, '--n', '64', '--out', {str(out)!r}])\n"
         f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
-    assert json.loads(proc.stdout) == [0, []], proc.stderr
+    assert _probe(probe) == [0, []]
     assert len(out.read_text().splitlines()) == 2 + 64
+
+
+def test_commands_but_stepfn_leave_numpy_unloaded(tmp_path):
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    model, refs = os.path.join(golden, "markov.json"), os.path.join(golden, "refs_markov.txt")
+    commands = [
+        ["variance", "--model", model, "--n", "4,16", "--reps", "20", "--reference", refs],
+        ["diversity", "--model", model, "--n", "8", "--reference", refs],
+        ["oracle-check", "--model", model],
+    ]
+    commands = [c + ["--out", str(tmp_path / c[0])] for c in commands]
+    probe = (
+        "import json, sys\n"
+        "from arithdecode import cli\n"
+        f"print(json.dumps([[c[0], cli.main(c), 'numpy' in sys.modules] for c in {commands!r}]))\n"
+    )
+    assert _probe(probe) == [["variance", 0, False], ["diversity", 0, False], ["oracle-check", 0, False]]
 
 
 def test_package_serves_every_public_name():

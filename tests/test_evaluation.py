@@ -1,5 +1,6 @@
 """Estimator statistics, step-function variance, diversity, and BLEU."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -90,6 +91,28 @@ class TestEstimatorSd:
         a = estimator_sd(m, "ancestral", 8, None, lambda s: float(s[0] == 0), reps=20, seed=5)
         b = estimator_sd(m, "ancestral", 8, None, lambda s: float(s[0] == 0), reps=20, seed=5)
         assert a == b
+
+    def test_statistics_equal_numpy_bit_for_bit(self):
+        # numpy's pairwise sum and two-sided lerp: lengths around 8, 128 and their multiples
+        rng = random.Random(24)
+        families = [
+            lambda: rng.random(),
+            lambda: rng.choice([-0.0, 0.0, 1 / 3, 0.1, 0.2]),
+            lambda: rng.choice([1e300, -1e300, 1 / 3]) if rng.random() < 0.1 else rng.uniform(-1, 1),
+        ]
+        lengths = [*range(2, 10), *range(120, 138), 255, 256, 257, 1023, 1024, 1025]
+        arrays = [[families[i % 3]() for _ in range(k)] for i, k in enumerate(lengths)]
+        for base in ([0.3, math.nan, 0.1, 0.2, 0.2], [0.3, math.inf, 0.1, -math.inf, 0.2]):
+            arrays += [list(p) for p in itertools.permutations(base)]
+        m = deterministic_model((0,))
+        for vals in arrays:
+            rewards = iter(vals)
+            rep = estimator_sd(m, "arithmetic", 1, None, lambda s: next(rewards), reps=len(vals))
+            arr = np.array(vals) + 0.0  # a one-sample mean sums from 0, so a -0.0 reward arrives as 0.0
+            with np.errstate(all="ignore"):
+                want = [arr.mean(), arr.std(ddof=1), np.percentile(arr, 2.5), np.percentile(arr, 97.5)]
+            got = [rep.mean, rep.sd, rep.percentile_2_5, rep.percentile_97_5]
+            assert list(map(repr, got)) == [repr(float(x)) for x in want], vals
 
 
 class TestDraw:
