@@ -9,12 +9,13 @@ binary arithmetic with a final clamp so drift never leaves a code
 un-locatable.
 
 `CategoricalDistribution.split` is the decoder's one step: it locates a sorted
-run of codes and renormalizes each into its symbol's interval.  A float
-distribution merges the run with its cuts in one pass that stops at the first
-cut above the last code, and builds no CDF.  An exact one bisects its cached
-CDF: a float code on the float cuts, compared with the exact cut only when it
-equals one, and a Fraction code on the exact cuts, so it stays exact; when
-one symbol owns all of [0, 1), the run passes through unchanged.
+slice of codes and renormalizes it in place.  A float distribution walks its
+cuts from the first code up and bisects the slice at each cut it crosses, so a
+symbol's codes are one sub-slice, renormalized in one pass; it builds no CDF.
+An exact one bisects its cached CDF for each code: a float code on the float
+cuts, compared with the exact cut only when it equals one, and a Fraction code
+on the exact cuts, so it stays exact; when one symbol owns all of [0, 1), the
+slice passes through unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import bisect
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import truediv
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ContractViolationError, InvalidDistributionError, ParameterError
@@ -31,6 +34,7 @@ from .errors import ContractViolationError, InvalidDistributionError, ParameterE
 Real = Union[int, float, Fraction]
 
 FAST_SUM_TOL = 1e-9
+_TOP = math.nextafter(1.0, 0.0)  # the largest float below 1
 
 
 def is_exact(x: Real) -> bool:
@@ -159,44 +163,56 @@ class CategoricalDistribution(_Record):
         logprobs = (math.log(self.probs[idx]) for idx in symbols)
         return CDF(symbols, cuts, tuple(map(float, cuts)), tuple(widths), tuple(logprobs))
 
-    def split(self, run: list[tuple[int, Real]]) -> list[tuple[int, float, list[tuple[int, Real]]]]:
-        """One decode step for (input index, code) pairs sorted by code, as
-        [(symbol, log-probability, [(input index, renormalized code)])] in symbol order."""
+    def split(self, res: list[Real], a: int, b: int) -> list[tuple[int, float, int, int]]:
+        """One decode step for the sorted codes res[a:b]: renormalizes them in place
+        and returns [(symbol, log-probability, start, end)] in symbol order, where
+        res[start:end] now holds the residuals of the symbol's codes."""
         out: list = []
-        if not self.is_exact:  # one merge pass over the cuts, no CDF built
+        if not self.is_exact:  # one bisect per cut the run crosses, no CDF built
             cuts = self._cuts()
             k, lo = next(cuts)
             above, hi = next(cuts)
-            for i, c in run:
-                if c >= hi or not out:
-                    while c >= hi:
-                        k, lo = above, hi
-                        above, hi = next(cuts)
-                    out.append((k, math.log(self.probs[k]), []))
-                out[-1][2].append((i, _rescale(c, lo, hi - lo)))
+            last = res[b - 1]
+            while a < b:
+                c = res[a]
+                while c >= hi:
+                    k, lo = above, hi
+                    above, hi = next(cuts)
+                j = b if last < hi else bisect.bisect_left(res, hi, a, b)
+                width = hi - lo
+                if j == a + 1:  # a lone code skips building a list
+                    res[a] = _rescale(c, lo, width)
+                else:  # _rescale, inlined
+                    res[a:j] = [r if (r := (c - lo) / width) < 1.0 else _TOP for c in res[a:j]]
+                out.append((k, math.log(self.probs[k]), a, j))
+                a = j
             return out
         symbols, cuts, fcuts, fwidths, logprobs = self.cdf
         if len(symbols) == 1:  # one symbol owns [0, 1), where (c - 0) / 1 is c
-            return [(symbols[0], logprobs[0], run)]
-        for i, c in run:
+            return [(symbols[0], logprobs[0], a, b)]
+        start, prev = a, None
+        for j in range(a, b):
+            c = res[j]
             if isinstance(c, float):
                 k = bisect.bisect_right(fcuts, c) - 1
                 if c == fcuts[k]:  # the float cut may sit on c while the exact cut lies above it
                     k = bisect.bisect_right(cuts, c) - 1
-                c = _rescale(c, fcuts[k], fwidths[k])
+                res[j] = _rescale(c, fcuts[k], fwidths[k])
             else:
                 k = bisect.bisect_right(cuts, c) - 1
-                c = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
-            if not out or out[-1][0] != symbols[k]:
-                out.append((symbols[k], logprobs[k], []))
-            out[-1][2].append((i, c))
+                res[j] = (c - cuts[k]) / (cuts[k + 1] - cuts[k])
+            if k != prev:
+                if j > a:
+                    out.append((symbols[prev], logprobs[prev], start, j))
+                start, prev = j, k
+        out.append((symbols[prev], logprobs[prev], start, b))
         return out
 
 
 def _rescale(c: Real, lo: Real, width: Real) -> Real:
     """(c - lo) / width, kept below 1 against float rounding at the top edge."""
     out = (c - lo) / width
-    return out if out < 1.0 else math.nextafter(1.0, 0.0)
+    return out if out < 1.0 else _TOP
 
 
 class LatticeSpec(_Record):
@@ -233,7 +249,7 @@ def cdf_intervals(dist: CategoricalDistribution) -> list[tuple[int, UnitInterval
 
 def locate(c: Real, intervals: list[tuple[int, UnitInterval]]) -> int:
     """Return the symbol index whose half-open interval contains c."""
-    pos = bisect.bisect_right([iv.lo for _, iv in intervals], c) - 1
+    pos = bisect.bisect_right(intervals, c, key=lambda entry: entry[1].lo) - 1
     if pos < 0:
         raise ContractViolationError(f"code {c} below the partition")
     if c >= intervals[-1][1].hi:
@@ -260,10 +276,7 @@ def shift_mod1(c: Real, b: Real) -> Real:
 
 def lattice_codes(spec: LatticeSpec) -> list[Real]:
     """Generate the code set {c_i} for a lattice spec, in lattice index order."""
-    b = spec.shift
-    exact = is_exact(b)
-    if spec.mode == "paper":
-        base = (Fraction(i, spec.n + 1) if exact else i / (spec.n + 1) for i in range(1, spec.n + 1))
-    else:
-        base = (Fraction(i, spec.n) if exact else i / spec.n for i in range(spec.n))
-    return [shift_mod1(x, b) for x in base]
+    n, b = spec.n, spec.shift
+    den, first = (n + 1, 1) if spec.mode == "paper" else (n, 0)
+    base = map(Fraction if is_exact(b) else truediv, range(first, first + n), repeat(den))
+    return [s - 1 if (s := x + b) >= 1 else s for x in base]  # shift_mod1, inlined

@@ -381,18 +381,17 @@ class SyntheticLM(SequenceModel):
         return self.conditional_at(self._absorb(f"{self.seed}|{','.join(map(str, prefix))}".encode()), prefix)
 
     def conditional_at(self, state: tuple, prefix: Tokens) -> CategoricalDistribution:
-        size = len(self.vocabulary)
-        digest = b"".join(h.digest() for h in state)
-        words = struct.unpack(f">{size}Q", digest[: 8 * size])
+        words = struct.unpack_from(f">{len(self.vocabulary)}Q", b"".join([h.digest() for h in state]))
+        peakedness, log = self.peakedness, math.log
         # (word + 1) / (2**64 + 1) lies strictly inside (0, 1)
-        logs = [self.peakedness * math.log((word + 1) / (2**64 + 1)) for word in words]
+        logs = [peakedness * log((word + 1) / (2**64 + 1)) for word in words]
         peak = max(logs)
         if peak == -math.inf:  # every term overflowed: measure each log-uniform from the largest
-            top = math.log((max(words) + 1) / (2**64 + 1))
-            logs, peak = [self.peakedness * (math.log((w + 1) / (2**64 + 1)) - top) for w in words], 0.0
+            top = log((max(words) + 1) / (2**64 + 1))
+            logs, peak = [peakedness * (log((w + 1) / (2**64 + 1)) - top) for w in words], 0.0
         weights = [math.exp(x - peak) for x in logs]
         total = sum(weights)
-        return CategoricalDistribution._normalized(tuple(w / total for w in weights))
+        return CategoricalDistribution._normalized(tuple([w / total for w in weights]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@ decode share one partition.
 
 A whole batch decodes in one walk down the prefix trie.  By the monotonic
 embedding, codes that share a decoded prefix form one contiguous run of the
-sorted code set, so the walk sorts the codes, then expands each distinct
-prefix once: one modified conditional and one `split` per prefix.  The
-log-probability is summed on the way down in the same order as
-`sequence_logprob`, so every code sees exactly the float operations of its own
-step-by-step decode and the results are bit-identical to it.  decode_code is
-the one-code case of the same walk.
+sorted code set, so the walk sorts the codes once into one array of residuals
+and carries each distinct prefix with the bounds of its slice: one modified
+conditional and one `split` per prefix, which renormalizes the slice in place.
+Float and non-float codes of one batch start as two slices, because an exact
+step rescales a Fraction exactly and a float with rounding, which can swap
+their order; each kind alone stays sorted.  The log-probability is summed on
+the way down in the same order as `sequence_logprob`, so every code sees
+exactly the float operations of its own step-by-step decode and the results
+are bit-identical to it.  decode_code is the one-code case of the same walk.
 
 Arithmetic sampling decodes a shifted lattice of codes, ancestral sampling
 i.i.d. uniform codes; both share one code path, and `draw` picks one by name.
@@ -70,18 +73,25 @@ def _walk(
             raise ParameterError(f"code {c} outside [0, 1)")
     seqs: list = [None] * len(codes)
     logprobs: list = [None] * len(codes)
-    # (incomplete prefix, its model state, its log-probability, [(input index, renormalized
-    # code)]); a child gets its state when it is made, or is recorded if complete.
-    stack = [((), model.start(), 0.0, sorted(enumerate(codes), key=lambda ic: ic[1]))] if codes else []
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    cut = len(order)
+    if len(set(map(type, codes))) > 1:  # floats, then the rest: two sorted slices
+        order.sort(key=lambda i: not isinstance(codes[i], float))
+        cut = sum(isinstance(c, float) for c in codes)
+    res = [codes[i] for i in order]
+    # (incomplete prefix, its model state, its log-probability, a, b): the prefix's codes are
+    # order[a:b] and their residuals res[a:b], each run sorted; a child gets its state when
+    # it is made, or is recorded if complete.
+    stack = [((), model.start(), 0.0, a, b) for a, b in ((0, cut), (cut, len(res))) if a < b]
     while stack:
-        tokens, state, logprob, run = stack.pop()
-        for k, symbol_logprob, kids in conditional_modified(model, tokens, chain, state).split(run):
+        tokens, state, logprob, a, b = stack.pop()
+        for k, symbol_logprob, a, b in conditional_modified(model, tokens, chain, state).split(res, a, b):
             child, lp = tokens + (k,), logprob + symbol_logprob
             if model.is_complete(child):
-                for i, _ in kids:
+                for i in order[a:b]:
                     seqs[i], logprobs[i] = child, lp
             else:
-                stack.append((child, model.advance(state, tokens, k), lp, kids))
+                stack.append((child, model.advance(state, tokens, k), lp, a, b))
     return seqs, logprobs
 
 

@@ -1,6 +1,7 @@
 """Unit-interval partitioning, code location, renormalization, lattices."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,22 @@ class TestLocate:
             if c < iv.hi:
                 assert locate(c, ivs) == idx
 
+    @given(
+        st.one_of(exact_dists(), exact_dists().map(lambda d: CategoricalDistribution(tuple(map(float, d.probs))))),
+        st.lists(st.one_of(st.floats(-0.5, 1.5), st.fractions(-1, 2, max_denominator=100)), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bisect_on_the_lower_ends(self, dist, codes):
+        ivs = cdf_intervals(dist)
+        codes += [iv.lo for _, iv in ivs]  # on every cut
+        for c in codes:
+            pos = bisect_right([iv.lo for _, iv in ivs], c) - 1
+            if pos < 0 or c >= ivs[-1][1].hi:
+                with pytest.raises(ContractViolationError):
+                    locate(c, ivs)
+            else:
+                assert locate(c, ivs) == ivs[pos][0]
+
 
 class TestRenormalize:
     @pytest.mark.parametrize(
@@ -184,6 +201,26 @@ class TestLattice:
         for mode in ("paper", "uniform"):
             for c in lattice_codes(LatticeSpec(n, mode, b)):
                 assert 0 <= c < 1
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from(["paper", "uniform"]),
+        st.one_of(
+            st.floats(0, 1, exclude_max=True),
+            st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda b: b < 1),
+            st.just(0),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shifts_each_base_point_by_shift_mod1(self, n, mode, b):
+        exact = isinstance(b, (int, F))
+        if mode == "paper":
+            base = [F(i, n + 1) if exact else i / (n + 1) for i in range(1, n + 1)]
+        else:
+            base = [F(i, n) if exact else i / n for i in range(n)]
+        codes, expected = lattice_codes(LatticeSpec(n, mode, b)), [shift_mod1(x, b) for x in base]
+        assert repr(codes) == repr(expected)
+        assert list(map(type, codes)) == list(map(type, expected))
 
 
 class TestShiftMod1:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -184,10 +185,19 @@ def reference_decode(model, c, chain):
     return tokens
 
 
+def mixed_markov_model(seed):
+    """A random order-1 chain in sevenths whose rows after "b" are floats, so one
+    walk takes exact and float steps."""
+    m = random_markov_model(random.Random(seed), vocab_size=3, max_length=4, denom=7)
+    rows = {ctx: tuple(map(float, d.probs)) if ctx == (1,) else d.probs for ctx, d in m.rows.items()}
+    return MarkovModel(1, rows, m.vocabulary, m.max_length)
+
+
 SEEDS = st.integers(min_value=0, max_value=10_000)
 MODELS = st.one_of(
     st.builds(lambda s: random_tabular_model(random.Random(s), vocab_size=3, max_length=3, eos=2), SEEDS),
     st.builds(lambda s: random_markov_model(random.Random(s), vocab_size=3, max_length=4), SEEDS),
+    st.builds(mixed_markov_model, SEEDS),
     st.builds(lambda s, k: SyntheticLM(s, 5, 5, k, eos=4), SEEDS, st.sampled_from([1.0, 3.0])),
 )
 ALL_CHAINS = [None, (Temperature(0.8), Nucleus(0.9)), (TopK(2),)]
@@ -219,6 +229,15 @@ class TestSharedWalk:
         for e in ss.entries:
             assert e.sequence == reference_decode(model, rng.random(), chain)
             assert e.logprob == sequence_logprob(model, e.sequence, chain)
+
+    def test_mixed_batch_matches_per_code_decode(self):
+        # After the exact first step the float code's residual, 0.25000000000000006, lies
+        # above the Fraction's, 1/4 + 1.5e-18, and the float second step cuts between them.
+        c = 0.25000000000000006
+        m = MarkovModel(1, {(): (F(1, 3), F(2, 3)), (0,): (c, 1 - c), (1,): (c, 1 - c)}, Vocabulary(("a", "b")), 2)
+        codes = [0.5, F(1, 2) + F(1, 10**18)]
+        assert [reference_decode(m, x, None) for x in codes] == [decode_code(m, x) for x in codes] == [(1, 1), (1, 0)]
+        assert parallel_decode(m, codes).sequences() == [(1, 1), (1, 0)]
 
     def test_one_conditional_per_distinct_prefix(self):
         class Counting(SequenceModel):
@@ -683,9 +702,10 @@ class TestSplit:
         dist, codes = dist_codes
         symbols, cuts, fcuts, fwidths, logprobs = dist.cdf
         top = math.nextafter(1.0, 0.0)
-        run = sorted(enumerate(codes), key=lambda ic: ic[1])
+        order = sorted(range(len(codes)), key=codes.__getitem__)
         expected = []
-        for i, c in run:
+        for i in order:
+            c = codes[i]
             k = bisect_right(cuts, c) - 1
             if isinstance(c, float) or not dist.is_exact:
                 residual = min((c - fcuts[k]) / fwidths[k], top)
@@ -702,13 +722,20 @@ class TestSplit:
                 # the renormalized code is >= residual and below the next float: it is residual
                 assert at.sequence == (symbols[k], 1) and past.sequence == (symbols[k], 0)
                 assert at.logprob == logprobs[k] + math.log(1.0 - residual)
-        assert repr(dist.split(run)) == repr(expected)
+        # the run sits inside a longer array, whose other entries split must not touch
+        res = ["before"] + [codes[i] for i in order] + ["after"]
+        out = dist.split(res, 1, len(res) - 1)
+        assert res[0] == "before" and res[-1] == "after"
+        got = [(symbol, lp, list(zip(order[a - 1 : b - 1], res[a:b]))) for symbol, lp, a, b in out]
+        assert repr(got) == repr(expected)
 
     def test_one_symbol_passes_the_run_through(self):
         dist = CategoricalDistribution((F(0), F(1), F(0)))
-        run = [(2, F(0)), (0, 0.25), (3, F(2, 3)), (1, math.nextafter(1.0, 0.0))]
-        [(symbol, logprob, kids)] = dist.split(run)
-        assert (symbol, logprob) == (1, 0.0) and kids is run
+        res = [F(1, 9), F(0), 0.25, F(2, 3), math.nextafter(1.0, 0.0)]
+        before = list(res)
+        [(symbol, logprob, a, b)] = dist.split(res, 1, 5)
+        assert (symbol, logprob, a, b) == (1, 0.0, 1, 5)
+        assert all(map(operator.is_, res, before))
         # an order-1 chain whose rows after "a" and after "c" each keep one symbol
         rows = {(): (F(1, 3), F(2, 3), F(0)), (0,): (F(0), F(1), F(0)), (1,): (F(1, 2), F(0), F(1, 2)),
                 (2,): (F(0), F(0), F(1))}
